@@ -38,6 +38,7 @@ from .schemes import (
     check_weighted_conditions,
     link_key_constraint_ok,
     rates,
+    scheme_b_parameters,
 )
 from .topology import (
     Topology,
@@ -84,79 +85,89 @@ class RunConfig:
         return self.raw
 
 
+def _object(value, ctx: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{ctx} must be a JSON object")
+    return value
+
+
 def _require(d: dict, key: str, ctx: str):
     if key not in d:
         raise ConfigError(f"missing required field {key!r} in {ctx}")
     return d[key]
 
 
+def _as_int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _int(d: dict, key: str, ctx: str, default: Optional[int] = None) -> int:
+    """Integer field `key` of section `ctx`; required unless a default is given."""
+    value = _require(d, key, ctx) if default is None else d.get(key, default)
+    return _as_int(value, f"field {key!r} in {ctx}")
+
+
 def _build_topology(spec: dict) -> tuple[Topology, str]:
     kind = _require(spec, "kind", "topology")
     if kind == "cyclic":
-        return build_cyclic(int(_require(spec, "K", "topology")),
-                            int(_require(spec, "n", "topology"))), kind
+        return build_cyclic(_int(spec, "K", "topology"), _int(spec, "n", "topology")), kind
     if kind == "multiple_cyclic":
-        return build_multiple_cyclic(int(_require(spec, "K", "topology")),
-                                     int(_require(spec, "n", "topology")),
-                                     int(_require(spec, "t", "topology"))), kind
+        return build_multiple_cyclic(_int(spec, "K", "topology"), _int(spec, "n", "topology"),
+                                     _int(spec, "t", "topology")), kind
     if kind == "explicit":
-        return build_explicit(int(_require(spec, "N", "topology")),
-                              int(_require(spec, "K", "topology")),
-                              _require(spec, "user_links", "topology")), kind
+        links = _require(spec, "user_links", "topology")
+        if not isinstance(links, list) or not all(isinstance(h, list) for h in links):
+            raise ConfigError("user_links in topology must be a list of relay lists")
+        return build_explicit(_int(spec, "N", "topology"), _int(spec, "K", "topology"),
+                              [[_as_int(j, "a user_links entry") for j in h]
+                               for h in links]), kind
     if kind == "tree":
-        return build_tree(int(_require(spec, "U", "topology")),
-                          int(_require(spec, "V", "topology"))), kind
+        return build_tree(_int(spec, "U", "topology"), _int(spec, "V", "topology")), kind
     raise ConfigError(f"unknown topology kind {kind!r}")
-
-
-def _validate_scheme_b(top: Topology, field: PrimeField, t_u: int):
-    if top.N % top.K != 0 or top != build_multiple_cyclic(top.K, top.n, top.N // top.K):
-        raise ConfigError("scheme B needs a (multiple) cyclic topology")
-    limit = min(top.N - 1, top.K - top.n)
-    if t_u < 0 or t_u + top.m > limit:
-        raise ConfigError(f"scheme B needs 0 <= t_u and t_u + m <= {limit}")
-    copies = top.N // top.K
-    if (field.q - 1) % copies != 0:
-        raise ConfigError(f"scheme B needs the copy count {copies} to divide q - 1")
 
 
 def parse_config(d: dict) -> RunConfig:
     """Validate a config document completely before any work happens."""
+    _object(d, "config")
     if d.get("schema") != CONFIG_SCHEMA:
         raise ConfigError(f"expected schema {CONFIG_SCHEMA!r}, got {d.get('schema')!r}")
-    top, kind = _build_topology(_require(d, "topology", "config"))
-    field = PrimeField(int(_require(d, "field_q", "config")))
+    top, kind = _build_topology(_object(_require(d, "topology", "config"), "topology"))
+    field = PrimeField(_int(d, "field_q", "config"))
 
-    scheme = _require(d, "scheme", "config")
+    scheme = _object(_require(d, "scheme", "config"), "scheme")
     variant = _require(scheme, "variant", "scheme")
     if variant not in ("A", "B", "C"):
         raise ConfigError(f"scheme variant must be A, B or C, got {variant!r}")
-    scheme_t_u = scheme.get("t_u")
+    scheme_t_u = None
     if variant == "B":
-        if scheme_t_u is None:
-            raise ConfigError("scheme B requires the t_u parameter")
-        scheme_t_u = int(scheme_t_u)
-        _validate_scheme_b(top, field, scheme_t_u)
+        scheme_t_u = _int(scheme, "t_u", "scheme")
+        try:
+            scheme_b_parameters(top, field, scheme_t_u)
+        except HsaLabError as exc:
+            raise ConfigError(f"scheme B: {exc}") from exc
     if variant == "C":
-        if top.N != top.K or top.n != 2:
+        if top.N != top.K or top.n != 2 or top != build_cyclic(top.N, 2):
             raise ConfigError("scheme C needs a cyclic topology with n = 2")
         if field.q < top.N + 2:
             raise ConfigError(f"scheme C needs q >= N + 2 = {top.N + 2}")
     if variant == "A" and field.q < top.K:
         raise ConfigError(f"scheme A needs q >= K = {top.K}")
 
-    security = _require(d, "security", "config")
-    t_h = int(_require(security, "t_h", "security"))
-    t_u = int(_require(security, "t_u", "security"))
+    security = _object(_require(d, "security", "config"), "security")
+    t_h = _int(security, "t_h", "security")
+    t_u = _int(security, "t_u", "security")
     if t_h < 1 or t_u < 0:
         raise ConfigError("security needs t_h >= 1 and t_u >= 0")
 
-    width = int(d.get("block_width", 1))
+    width = _int(d, "block_width", "config", default=1)
     if width < 1:
         raise ConfigError("block_width must be at least 1")
-    seed = int(d.get("seed", 0))
-    caps = d.get("caps", {})
-    outputs = d.get("outputs", {})
+    seed = _int(d, "seed", "config", default=0)
+    caps = _object(d.get("caps", {}), "caps")
+    outputs = _object(d.get("outputs", {}), "outputs")
     return RunConfig(
         raw=d,
         topology=top,
@@ -168,8 +179,8 @@ def parse_config(d: dict) -> RunConfig:
         t_u=t_u,
         block_width=width,
         seed=seed,
-        enumeration_cap=int(caps.get("enumeration", DEFAULT_ENUMERATION_CAP)),
-        sweep_budget=int(caps.get("sweep_budget", DEFAULT_SWEEP_BUDGET)),
+        enumeration_cap=_int(caps, "enumeration", "caps", default=DEFAULT_ENUMERATION_CAP),
+        sweep_budget=_int(caps, "sweep_budget", "caps", default=DEFAULT_SWEEP_BUDGET),
         outputs=outputs,
     )
 
@@ -383,8 +394,9 @@ def _load_scheme_for(cfg: RunConfig, path: str) -> Scheme:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        scheme = Scheme.from_dict(doc)
-    except (OSError, json.JSONDecodeError, KeyError, InvalidArgument) as exc:
+        scheme = Scheme.from_dict(_object(doc, "scheme file"))
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+            InvalidArgument) as exc:
         raise ConfigError(f"cannot read scheme {path}: {exc}") from exc
     if scheme.topology != cfg.topology:
         raise ConfigError("scheme file topology does not match the config")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ProtocolViolation, ShapeError
 from .gf import FieldMatrix
-from .schemes import KeyMaterial, Scheme, VARIANT_LINK_KEYS, sample_keys
+from .schemes import KeyMaterial, Scheme, sample_keys
 
 _TRANSCRIPT_SCHEMA = "hsa-lab/transcript/1"
 
@@ -53,17 +53,9 @@ def user_encode(s: Scheme, user: int, w: FieldMatrix, keys: KeyMaterial) -> dict
         raise ProtocolViolation(f"no user {user}")
     if (w.rows, w.cols) != (top.n, keys.width):
         raise ShapeError(f"input of user {user} must be {top.n}x{keys.width}")
-    encoded = s.encoders[user - 1] @ w                    # n x width, rows indexed by H_i
-    z = keys.per_user[user - 1]
-    q = s.field.q
-    out: dict[int, np.ndarray] = {}
-    for pos, relay in enumerate(top.user_links[user - 1]):
-        if s.variant == VARIANT_LINK_KEYS:
-            mask = z.row(pos)
-        else:
-            mask = (s.link_weight(user, relay) * z.row(0)) % q
-        out[relay] = (encoded.row(pos) + mask) % q
-    return out
+    # n x width, rows indexed by the user's sorted relays
+    sent = s.encoders[user - 1] @ w + s.key_spread(user).T @ keys.per_user[user - 1]
+    return {relay: sent.row(pos) for pos, relay in enumerate(top.user_links[user - 1])}
 
 
 def relay_aggregate(s: Scheme, relay: int, incoming: dict[int, np.ndarray]) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Concrete secure-aggregation codes for three-layer networks.
 
-Two mechanically different families are built here:
+Every scheme is a key generator composed with a fixed placement of each
+user's key symbols on its n links.  `key_map` sends the seed vector to the
+user keys; `Scheme.key_spread` places one user's keys on its links, and
+`Scheme.link_keys` is the derived map from seeds to link keys that the
+protocol and every certificate read.  Two families are built here:
 
-* variant "A"  - one independent key symbol per user-relay link, with the
+* variant "A"  - n independent key symbols per user, one per link, with the
   last user's keys derived so that all masks cancel under the server's
   decoding matrix.  Works on any homogeneous topology, key rates (1, N-1).
 * variant "BL" - a single key symbol per user, spread over that user's
@@ -18,6 +22,7 @@ relays, so that plain per-relay sums already carry the aggregate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -49,9 +54,10 @@ class Scheme:
 
     decode_matrix is n x K; encoders[i-1] is the n x n inverse of its
     column block for user i's relays.  key_map sends the seed vector to
-    the concatenated link keys (variant A, seeds x N*n) or to the per-user
-    scalar keys (variant BL, seeds x N).  key_weights is the N x K link
-    weight matrix of variant BL, None for variant A.
+    the concatenated user keys: keys_per_user columns per user, n for
+    variant A and 1 for variant BL.  key_weights is the N x K link weight
+    matrix of variant BL, None for variant A.  link_keys (seeds x N*n) is
+    derived from both and never serialized.
     """
 
     variant: str
@@ -87,6 +93,24 @@ class Scheme:
     def column_block(self, user: int) -> FieldMatrix:
         """Columns of the decoding matrix indexed by the user's relays."""
         return self.decode_matrix.take_cols([j - 1 for j in self.topology.user_links[user - 1]])
+
+    def key_spread(self, user: int) -> FieldMatrix:
+        """keys_per_user x n placement of the user's keys on its sorted links."""
+        if self.variant == VARIANT_LINK_KEYS:
+            return gf.identity(self.field, self.topology.n)
+        relays = [j - 1 for j in self.topology.user_links[user - 1]]
+        return FieldMatrix(self.field, self.key_weights.a[[user - 1]][:, relays])
+
+    def user_key_map(self, user: int) -> FieldMatrix:
+        """Seeds x keys_per_user map from the seed vector to one user's keys."""
+        k = self.keys_per_user
+        return self.key_map.take_cols(range((user - 1) * k, user * k))
+
+    @cached_property
+    def link_keys(self) -> FieldMatrix:
+        """Seeds x N*n map from the seed vector to every link key, user-major."""
+        return gf.hstack([self.user_key_map(i) @ self.key_spread(i)
+                          for i in range(1, self.topology.N + 1)])
 
     def link_weight(self, user: int, relay: int) -> int:
         if self.variant != VARIANT_WEIGHTED:
@@ -136,7 +160,7 @@ class Scheme:
         if len(self.encoders) != top.N or any(
                 (e.rows, e.cols) != (n, n) for e in self.encoders):
             raise InvalidArgument("need one n x n encoder per user")
-        key_cols = top.N * n if self.variant == VARIANT_LINK_KEYS else top.N
+        key_cols = top.N * self.keys_per_user
         if self.key_map.cols != key_cols:
             raise InvalidArgument(f"key map must have {key_cols} columns")
         if self.variant == VARIANT_WEIGHTED:
@@ -150,7 +174,7 @@ class KeyMaterial:
     """Sampled key seeds and the per-user keys derived from them."""
 
     seeds: FieldMatrix                     # seed_count x width
-    per_user: tuple[FieldMatrix, ...]      # n x width (variant A) or 1 x width
+    per_user: tuple[FieldMatrix, ...]      # keys_per_user x width
 
     @property
     def width(self) -> int:
@@ -163,15 +187,13 @@ def _stacked_column_blocks(s: Scheme) -> FieldMatrix:
 
 
 def link_key_constraint_ok(s: Scheme) -> bool:
-    """Variant A mask-cancellation certificate.
+    """Mask-cancellation certificate.
 
     The link keys cancel under the decoding matrix for every seed value
-    iff key_map composed with the stacked column blocks is identically
+    iff link_keys composed with the stacked column blocks is identically
     zero.
     """
-    if s.variant != VARIANT_LINK_KEYS:
-        raise InvalidArgument("the link-key certificate applies to variant A only")
-    return (s.key_map @ _stacked_column_blocks(s)).is_zero()
+    return (s.link_keys @ _stacked_column_blocks(s)).is_zero()
 
 
 @dataclass(frozen=True)
@@ -256,16 +278,11 @@ def build_scheme_a(top: Topology, field: PrimeField, seed: int = 0,
     # Seeds: one per link of users 1..N-1.  The last user's keys are the
     # unique linear functions of those seeds that cancel the masks:
     #   keys_N = -(sum over i<N of keys_i * block_i^T) * (block_N^T)^{-1}
-    seeds = (big_n - 1) * n
-    key_map = np.zeros((seeds, big_n * n), dtype=np.int64)
-    for i in range(1, big_n):
-        for p in range(n):
-            key_map[(i - 1) * n + p, (i - 1) * n + p] = 1
-    blocks = [FieldMatrix(field, decode_matrix.a[:, [j - 1 for j in top.user_links[i - 1]]])
+    blocks = [decode_matrix.take_cols([j - 1 for j in top.user_links[i - 1]])
               for i in range(1, big_n + 1)]
     stacked = gf.vstack([b.T for b in blocks[:-1]])           # (N-1)n x n
     last_inv_t = blocks[-1].inverse().T                        # (block_N^T)^{-1}
-    key_map[:, (big_n - 1) * n:] = (-(stacked @ last_inv_t)).a % field.q
+    key_map = gf.hstack([gf.identity(field, (big_n - 1) * n), -(stacked @ last_inv_t)])
 
     scheme = Scheme(
         variant=VARIANT_LINK_KEYS,
@@ -273,21 +290,37 @@ def build_scheme_a(top: Topology, field: PrimeField, seed: int = 0,
         field=field,
         decode_matrix=decode_matrix,
         encoders=encoders,
-        key_map=FieldMatrix(field, key_map),
+        key_map=key_map,
     )
     if not link_key_constraint_ok(scheme):  # pragma: no cover - construction enforces it
         raise ConstructionFailed("link-key cancellation constraint violated")
     return scheme
 
 
-def _multiple_cyclic_shape(top: Topology) -> int:
-    """Number of cyclic copies if the topology is multiple cyclic, else raise."""
+def scheme_b_parameters(top: Topology, field: PrimeField, t_u: int) -> tuple[int, int]:
+    """Check the hypotheses of build_scheme_b; return (copies, root of unity).
+
+    Raises:
+        InfeasibleParameters: the topology is not multiple cyclic, or
+            t_u + m > min(N-1, K-n).
+        InvalidArgument: t_u < 0.
+        FieldTooSmall: q <= t_u + m.
+        NoSuchRoot: the copy count does not divide q - 1.
+    """
     if top.N % top.K != 0:
         raise InfeasibleParameters("weighted scheme needs N to be a multiple of K")
     copies = top.N // top.K
     if top != build_multiple_cyclic(top.K, top.n, copies):
         raise InfeasibleParameters("weighted scheme needs a (multiple) cyclic topology")
-    return copies
+    if t_u < 0:
+        raise InvalidArgument("t_u must be nonnegative")
+    n_seeds = t_u + top.m
+    limit = min(top.N - 1, top.K - top.n)
+    if n_seeds > limit:
+        raise InfeasibleParameters(f"need t_u + m <= min(N-1, K-n) = {limit}, got {n_seeds}")
+    if n_seeds >= field.q:
+        raise FieldTooSmall(f"need q > t_u + m = {n_seeds} for distinct Cauchy parameters")
+    return copies, gf.root_of_unity(field, copies)
 
 
 def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
@@ -304,24 +337,14 @@ def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
     choice is resampled on failure, up to max_attempts.
 
     Raises:
-        InfeasibleParameters: hypothesis t_u + m <= min(N-1, K-n) violated,
-            or the topology is not multiple cyclic.
-        FieldTooSmall: q cannot host t_u + m distinct Cauchy parameters.
-        NoSuchRoot: the copy count does not divide q - 1.
+        InfeasibleParameters, InvalidArgument, FieldTooSmall, NoSuchRoot:
+            from scheme_b_parameters.
+        FieldTooSmall: q cannot host K usable Cauchy parameters.
         ConstructionFailed: resampling budget exhausted.
     """
-    copies = _multiple_cyclic_shape(top)
-    n, k, m, big_n = top.n, top.K, top.m, top.N
-    if t_u < 0:
-        raise InvalidArgument("t_u must be nonnegative")
-    n_seeds = t_u + m
-    if n_seeds > min(big_n - 1, k - n):
-        raise InfeasibleParameters(
-            f"need t_u + m <= min(N-1, K-n) = {min(big_n - 1, k - n)}, got {n_seeds}")
-    if n_seeds >= field.q:
-        raise FieldTooSmall(f"need q > t_u + m = {n_seeds} for distinct Cauchy parameters")
-    w = gf.root_of_unity(field, copies)
-    q = field.q
+    copies, w = scheme_b_parameters(top, field, t_u)
+    n, k, big_n, q = top.n, top.K, top.N, field.q
+    n_seeds = t_u + top.m
 
     rng = np.random.default_rng(seed)
     alphas = list(range(1, n_seeds + 1))
@@ -377,9 +400,9 @@ def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
             t_u=t_u,
         )
         # the generator is a valid Cauchy matrix, so its minor condition
-        # holds by construction; the remaining conditions are asserted
-        cancel = (scheme.key_map @ scheme.key_weights @ scheme.decode_matrix.T).is_zero()
-        if not cancel:  # pragma: no cover - the nullspace solve enforces it
+        # holds by construction; mask cancellation is asserted (the
+        # nullspace solve enforces it)
+        if not link_key_constraint_ok(scheme):  # pragma: no cover
             continue
         return scheme
     raise ConstructionFailed(
@@ -450,16 +473,7 @@ def derive_user_keys(s: Scheme, seeds: FieldMatrix) -> KeyMaterial:
     """Deterministically derive every user's keys from explicit seed columns."""
     if seeds.rows != s.seed_count:
         raise ShapeError(f"expected {s.seed_count} seed rows, got {seeds.rows}")
-    n = s.topology.n
-    if s.variant == VARIANT_LINK_KEYS:
-        link_vals = s.key_map.T @ seeds                     # N*n x width
-        per_user = tuple(
-            FieldMatrix(s.field, link_vals.a[(i - 1) * n:i * n, :])
-            for i in range(1, s.topology.N + 1))
-    else:
-        per_user = tuple(
-            s.key_map.take_cols([i - 1]).T @ seeds          # 1 x width
-            for i in range(1, s.topology.N + 1))
+    per_user = tuple(s.user_key_map(i).T @ seeds for i in range(1, s.topology.N + 1))
     return KeyMaterial(seeds=seeds, per_user=per_user)
 
 

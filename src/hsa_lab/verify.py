@@ -27,13 +27,7 @@ from . import gf
 from .errors import InvalidArgument, TooLargeToEnumerate
 from .gf import FieldMatrix, PrimeField
 from .protocol import run_round
-from .schemes import (
-    Scheme,
-    VARIANT_LINK_KEYS,
-    check_weighted_conditions,
-    derive_user_keys,
-    link_key_constraint_ok,
-)
+from .schemes import Scheme, VARIANT_LINK_KEYS, derive_user_keys, link_key_constraint_ok
 
 _CHUNK_ROWS = 1 << 16
 
@@ -80,65 +74,32 @@ class LinearView:
 def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
     """Stack the coefficient rows of all messages received by p.relays."""
     p.validate(s)
-    top, q = s.topology, s.field.q
-    n, big_n = top.n, top.N
-    width_w, width_r = big_n * n, s.seed_count
-    rows_w, rows_r, labels = [], [], []
-    for j in p.relays:
-        for i in top.relay_links[j - 1]:
-            pos = s.link_pos(i, j)
-            cw = np.zeros(width_w, dtype=np.int64)
-            cw[(i - 1) * n:(i * n)] = s.encoders[i - 1].a[pos, :]
-            if s.variant == VARIANT_LINK_KEYS:
-                cr = s.key_map.a[:, s.link_index(i, j)]
-            else:
-                cr = (s.link_weight(i, j) * s.key_map.a[:, i - 1]) % q
-            rows_w.append(cw)
-            rows_r.append(cr)
-            labels.append((i, j))
-    c_w = FieldMatrix(s.field, np.array(rows_w, dtype=np.int64).reshape(len(labels), width_w))
-    c_r = FieldMatrix(s.field, np.array(rows_r, dtype=np.int64).reshape(len(labels), width_r))
-    return LinearView(c_w=c_w, c_r=c_r, row_labels=tuple(labels))
+    top, n = s.topology, s.topology.n
+    labels = [(i, j) for j in p.relays for i in top.relay_links[j - 1]]
+    c_w = np.zeros((len(labels), top.N * n), dtype=np.int64)
+    for r, (i, j) in enumerate(labels):
+        c_w[r, (i - 1) * n:i * n] = s.encoders[i - 1].a[s.link_pos(i, j), :]
+    c_r = s.link_keys.a[:, [s.link_index(i, j) for i, j in labels]].T
+    return LinearView(c_w=FieldMatrix(s.field, c_w), c_r=FieldMatrix(s.field, c_r),
+                      row_labels=tuple(labels))
 
 
 def _user_key_rows(s: Scheme, user: int) -> np.ndarray:
     """Coefficient rows (over the key seeds) of one user's full key."""
-    n = s.topology.n
-    if s.variant == VARIANT_LINK_KEYS:
-        return s.key_map.a[:, (user - 1) * n:user * n].T
-    return s.key_map.a[:, user - 1][None, :]
+    return s.user_key_map(user).a.T
 
 
-def _conditioning_rows(s: Scheme, users: tuple[int, ...]) -> FieldMatrix:
-    """Coefficients of (inputs, keys) of the colluding users."""
-    top = s.topology
-    n, big_n = top.n, top.N
-    width = big_n * n + s.seed_count
-    rows = []
-    for i in users:
-        w_rows = np.zeros((n, width), dtype=np.int64)
-        w_rows[:, (i - 1) * n:i * n] = np.eye(n, dtype=np.int64)
-        rows.append(w_rows)
-        z = np.zeros((_user_key_rows(s, i).shape[0], width), dtype=np.int64)
-        z[:, big_n * n:] = _user_key_rows(s, i)
-        rows.append(z)
-    if not rows:
-        return gf.zeros(s.field, 0, width)
-    return FieldMatrix(s.field, np.vstack(rows))
-
-
-def _all_inputs_rows(s: Scheme, users: tuple[int, ...]) -> FieldMatrix:
-    """Coefficients of (all inputs, keys of the colluding users)."""
-    top = s.topology
-    width = top.N * top.n + s.seed_count
-    eye = np.zeros((top.N * top.n, width), dtype=np.int64)
-    eye[:, :top.N * top.n] = np.eye(top.N * top.n, dtype=np.int64)
-    rows = [eye]
-    for i in users:
-        z = np.zeros((_user_key_rows(s, i).shape[0], width), dtype=np.int64)
-        z[:, top.N * top.n:] = _user_key_rows(s, i)
-        rows.append(z)
-    return FieldMatrix(s.field, np.vstack(rows))
+def _known_rows(s: Scheme, input_users: Iterable[int], key_users: Iterable[int]) -> FieldMatrix:
+    """Coefficients of (inputs of input_users, keys of key_users)."""
+    n, n_w = s.topology.n, s.topology.N * s.topology.n
+    input_cols = [(i - 1) * n + p for i in input_users for p in range(n)]
+    keys = [_user_key_rows(s, i) for i in key_users]
+    rows = np.zeros((len(input_cols) + sum(k.shape[0] for k in keys), n_w + s.seed_count),
+                    dtype=np.int64)
+    rows[range(len(input_cols)), input_cols] = 1
+    if keys:
+        rows[len(input_cols):, n_w:] = np.vstack(keys)
+    return FieldMatrix(s.field, rows)
 
 
 def rank_leak(s: Scheme, p: CollusionPattern) -> int:
@@ -149,8 +110,8 @@ def rank_leak(s: Scheme, p: CollusionPattern) -> int:
     [rank(view+cond) - rank(cond)] - [rank(view+full) - rank(full)].
     """
     view = adversary_view(s, p).coefficients
-    cond = _conditioning_rows(s, p.users)
-    full = _all_inputs_rows(s, p.users)
+    cond = _known_rows(s, p.users, p.users)
+    full = _known_rows(s, range(1, s.topology.N + 1), p.users)
     h_view_given_cond = gf.vstack([view, cond]).rank() - cond.rank()
     h_view_given_full = gf.vstack([view, full]).rank() - full.rank()
     return h_view_given_cond - h_view_given_full
@@ -180,19 +141,9 @@ def check_key_space_disjoint(s: Scheme, p: CollusionPattern) -> bool:
     free_users = [i for i in range(1, top.N + 1) if i not in p.users]
     if not free_users:
         return True  # nothing left to protect; both matrices are empty
-    cols: list[int] = []
-    for i in free_users:
-        cols.extend(range((i - 1) * n, i * n))
-
-    placement_rows = []
-    for j in p.relays:
-        for i in top.relay_links[j - 1]:
-            row = np.zeros(top.N * n, dtype=np.int64)
-            row[(i - 1) * n + s.link_pos(i, j)] = 1
-            placement_rows.append(row)
-    placement = np.array(placement_rows, dtype=np.int64).reshape(len(placement_rows), top.N * n)
-    placement = FieldMatrix(s.field, placement[:, cols] if placement_rows else
-                            np.zeros((0, len(cols)), dtype=np.int64))
+    cols = [(i - 1) * n + k for i in free_users for k in range(n)]
+    observed = [s.link_index(i, j) for j in p.relays for i in top.relay_links[j - 1]]
+    placement = FieldMatrix(s.field, np.eye(top.N * n, dtype=np.int64)[np.ix_(observed, cols)])
 
     decode_blocks = gf.hstack([s.column_block(i) for i in free_users])
     stack = gf.vstack([placement, decode_blocks])
@@ -290,10 +241,9 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     if total > cap:
         raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
 
-    u_mat = _expand_for_width(
-        _all_inputs_rows(s, ()).a[:s.topology.N * s.topology.n, :], width)
+    u_mat = _expand_for_width(_known_rows(s, range(1, s.topology.N + 1), ()).a, width)
     v_mat = _expand_for_width(adversary_view(s, p).coefficients.a, width)
-    c_mat = _expand_for_width(_conditioning_rows(s, p.users).a, width)
+    c_mat = _expand_for_width(_known_rows(s, p.users, p.users).a, width)
 
     ku = np.empty(total, dtype=np.int64)
     kv = np.empty(total, dtype=np.int64)
@@ -403,11 +353,7 @@ def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
         columns = rng.integers(0, q, size=(n_vars, samples * width), dtype=np.int64)
         sim_ok = _simulate_columns(s, columns)
 
-    if s.variant == VARIANT_LINK_KEYS:
-        cert_ok = link_key_constraint_ok(s)
-    else:
-        cert_ok = check_weighted_conditions(s).masks_cancel
-    return sim_ok and cert_ok
+    return sim_ok and link_key_constraint_ok(s)
 
 
 # -- pattern sweeps ------------------------------------------------------------
@@ -575,12 +521,6 @@ class ConverseChecks:
         }
 
 
-def _link_key_row(s: Scheme, i: int, j: int) -> np.ndarray:
-    if s.variant == VARIANT_LINK_KEYS:
-        return s.key_map.a[:, s.link_index(i, j)][None, :]
-    return ((s.link_weight(i, j) * s.key_map.a[:, i - 1]) % s.field.q)[None, :]
-
-
 def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> ConverseChecks:
     """Enumerate H(link key | other users' keys) for every link, and the
     per-user key entropy sum, over the key-seed space."""
@@ -590,7 +530,8 @@ def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> Convers
         others = np.vstack([_user_key_rows(s, k) for k in range(1, top.N + 1) if k != i])
         others_m = _expand_width_matrix(s.field, others, width)
         for j in top.user_links[i - 1]:
-            target = _expand_width_matrix(s.field, _link_key_row(s, i, j), width)
+            target = _expand_width_matrix(s.field, s.link_keys.a[:, [s.link_index(i, j)]].T,
+                                          width)
             per_link[(i, j)] = cond_entropy_enumerated(target, others_m, cap=cap)
 
     empty = gf.zeros(s.field, 0, s.seed_count * width)

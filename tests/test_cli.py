@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from hsa_lab.cli import main
 
@@ -261,3 +262,37 @@ def test_round_trip_verify_matches_in_memory(tmp_path):
     built = build_scheme(cfg)
     parsed = Scheme.from_dict(read_json(scheme_path))
     assert parsed.to_dict() == built.to_dict()
+
+
+def test_scheme_c_rejects_other_topology(tmp_path, capsys):
+    # same size as cyclic(4, 2), but build_scheme_c would certify cyclic(4, 2)
+    cfg = write_config(tmp_path, topology={
+        "kind": "explicit", "N": 4, "K": 4, "user_links": [[1, 2], [1, 2], [3, 4], [3, 4]]},
+        field_q=7, scheme={"variant": "C"}, security={"t_h": 1, "t_u": 1})
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["K not an integer", "config is a list",
+                                  "scheme t_u not an integer", "scheme file field_q"])
+def test_bad_values_exit_2_without_traceback(tmp_path, capsys, case):
+    cfg = write_config(tmp_path)
+    argv = ["bounds", "--config", str(cfg)]
+    if case == "K not an integer":
+        write_config(tmp_path, topology={"K": "six"})
+    elif case == "config is a list":
+        cfg.write_text(json.dumps([BASE]))
+    elif case == "scheme t_u not an integer":
+        write_config(tmp_path, topology={"K": 6}, field_q=13,
+                     scheme={"variant": "B", "t_u": "x"})
+    else:
+        scheme_path = tmp_path / "scheme.json"
+        assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
+        doc = read_json(scheme_path)
+        doc["field_q"] = "x"
+        scheme_path.write_text(json.dumps(doc))
+        argv = ["verify", "--config", str(cfg), "--scheme", str(scheme_path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1, err

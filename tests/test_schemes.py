@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -269,3 +270,22 @@ def test_scheme_serialization_roundtrip():
         assert clone.to_dict() == s.to_dict()
         assert clone.decode_matrix == s.decode_matrix
         assert clone.encoders == s.encoders
+
+
+# -- one mask-cancellation certificate ---------------------------------------------
+
+
+def test_one_certificate_for_every_variant():
+    for s in (example_scheme(),
+              build_scheme_a(build_cyclic(4, 2), F5, seed=1),
+              build_scheme_b(build_cyclic(6, 2), F13, 2, seed=0),
+              build_scheme_b(build_multiple_cyclic(7, 2, 2), PrimeField(29), 1, seed=3),
+              build_scheme_c(5, F7)):
+        km = s.key_map.a.copy()
+        km[0, 0] = (km[0, 0] + 1) % s.field.q
+        mutant = dataclasses.replace(s, key_map=FieldMatrix(s.field, km))
+        for candidate, cancels in ((s, True), (mutant, False)):
+            assert link_key_constraint_ok(candidate) == cancels
+            if candidate.variant == "BL":
+                assert check_weighted_conditions(candidate).masks_cancel == cancels
+        assert rates(s).r_z == Fraction(s.key_spread(1).rows, s.topology.n)

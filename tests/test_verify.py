@@ -7,7 +7,7 @@ from hsa_lab import gf
 from hsa_lab.errors import InvalidArgument, TooLargeToEnumerate
 from hsa_lab.gf import FieldMatrix, PrimeField
 from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme_c
-from hsa_lab.topology import build_cyclic
+from hsa_lab.topology import build_cyclic, build_multiple_cyclic
 from hsa_lab.verify import (
     CollusionPattern,
     adversary_view,
@@ -22,6 +22,8 @@ from hsa_lab.verify import (
     rank_leak,
     sweep_security,
 )
+
+from test_acceptance import symbolic_messages
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -76,6 +78,22 @@ def test_view_weighted_scheme():
     for row, (i, _) in zip(range(2), view.row_labels):
         expected = (s.link_weight(i, 2) * s.key_map.a[:, i - 1]) % 7
         assert view.c_r.row(row).tolist() == expected.tolist()
+
+
+def test_view_matches_wire():
+    # the rank route and the oracle both read adversary_view; its rows must
+    # be the coefficients of the messages the protocol actually sends
+    schemes = [build_scheme_a(build_cyclic(4, 2), F5, seed=1),
+               build_scheme_b(build_cyclic(6, 2), PrimeField(13), 2, seed=0),
+               build_scheme_b(build_multiple_cyclic(7, 2, 2), PrimeField(29), 1, seed=3),
+               build_scheme_c(5, F7)]
+    for s in schemes + [tampered(s) for s in schemes]:
+        wire, _ = symbolic_messages(s)
+        view = adversary_view(s, CollusionPattern(range(1, s.topology.K + 1), []))
+        assert set(view.row_labels) == set(wire)
+        for r, label in enumerate(view.row_labels):
+            assert view.c_w.row(r).tolist() == wire[label][0].tolist(), label
+            assert view.c_r.row(r).tolist() == wire[label][1].tolist(), label
 
 
 def test_view_validates_ids():
