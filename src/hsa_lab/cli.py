@@ -248,8 +248,8 @@ def bounds_fragment(cfg: RunConfig) -> dict:
 
 
 def _decodability_block(cfg: RunConfig, scheme: Scheme) -> dict:
-    states = cfg.field.q ** ((cfg.topology.N * cfg.topology.n + scheme.seed_count)
-                             * cfg.block_width)
+    # the exhaustive mode enumerates width-1 columns whatever the block width
+    states = cfg.field.q ** (cfg.topology.N * cfg.topology.n + scheme.seed_count)
     if states <= cfg.enumeration_cap:
         ok = verify_mod.check_decodability(scheme, samples=None, width=cfg.block_width,
                                            cap=cfg.enumeration_cap)
@@ -428,7 +428,7 @@ def cmd_simulate(args) -> int:
     out = args.out or cfg.outputs.get("transcript")
     dump_json(doc, out)
     expected = direct_sum(scheme, inputs)
-    print(f"decoded == direct sum: {transcript.decoded == expected}")
+    print(f"decoded == direct sum: {transcript.decoded == expected}", file=sys.stderr)
     return _EXIT_OK if not transcript.mismatch else _EXIT_VERIFICATION
 
 

@@ -9,7 +9,11 @@ Two independent routes are provided for every security question:
   factorization of those counts.  No floating point is involved anywhere.
 
 The oracle exists to check the algebra, so it never calls into the rank
-path; agreement between the two is itself a tested property.
+path; agreement between the two is itself a tested property.  It evaluates
+each output symbol only over the variables in that row's support, read off
+the row's nonzero coefficients.  That needs no elimination, so the oracle
+still makes no rank calls, and a map's count over all states is its count
+over its support times q for every variable outside it.
 """
 
 from __future__ import annotations
@@ -84,16 +88,11 @@ def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
                       row_labels=tuple(labels))
 
 
-def _user_key_rows(s: Scheme, user: int) -> np.ndarray:
-    """Coefficient rows (over the key seeds) of one user's full key."""
-    return s.user_key_map(user).a.T
-
-
 def _known_rows(s: Scheme, input_users: Iterable[int], key_users: Iterable[int]) -> FieldMatrix:
     """Coefficients of (inputs of input_users, keys of key_users)."""
     n, n_w = s.topology.n, s.topology.N * s.topology.n
     input_cols = [(i - 1) * n + p for i in input_users for p in range(n)]
-    keys = [_user_key_rows(s, i) for i in key_users]
+    keys = [s.user_key_map(i).a.T for i in key_users]
     rows = np.zeros((len(input_cols) + sum(k.shape[0] for k in keys), n_w + s.seed_count),
                     dtype=np.int64)
     rows[range(len(input_cols)), input_cols] = 1
@@ -151,6 +150,11 @@ def check_key_space_disjoint(s: Scheme, p: CollusionPattern) -> bool:
 
 
 # -- exhaustive enumeration engine --------------------------------------------
+# States form a grid with one length-q axis per variable.  An image of a map is
+# (ranks, n): ranks labels the map's value at each grid state with 0..n-1 and
+# has length-1 axes for the variables outside the map's support.
+
+_TABLE_FACTOR = 1  # a lookup table has at most this many entries per grid state
 
 
 def _assignments(q: int, n_vars: int) -> Iterator[np.ndarray]:
@@ -166,52 +170,87 @@ def _assignments(q: int, n_vars: int) -> Iterator[np.ndarray]:
 
 
 def _expand_for_width(mat: np.ndarray, width: int) -> np.ndarray:
-    if width == 1:
-        return mat
     return np.kron(mat, np.eye(width, dtype=np.int64))
 
 
-def _image_keys(chunk: np.ndarray, mat: np.ndarray, q: int) -> np.ndarray:
-    """Integer keys of mat . s for each assignment row s (base-q encoding)."""
-    r = mat.shape[0]
-    if r == 0:
-        return np.zeros(chunk.shape[0], dtype=np.int64)
-    if q ** r > 2**62:
-        raise TooLargeToEnumerate(f"image of {r} symbols over F_{q} cannot be keyed")
-    vals = (chunk @ mat.T) % q
-    radix = np.array([q ** (r - 1 - i) for i in range(r)], dtype=np.int64)
-    return vals @ radix
+def _dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
+    """Relabel keys in [0, size) as 0..n-1 in key order; returns (ranks, n).
 
-
-def _dense_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Collision-free combination of two dense rank arrays."""
-    return a * (int(b.max(initial=0)) + 1) + b
-
-
-def _log_q_exact(num: np.ndarray, den: np.ndarray, q: int) -> np.ndarray:
-    """Exponents e with num/den = q**e, verified exactly per unique ratio.
-
-    Raises:
-        InvalidArgument: if some ratio is not an integer power of q
-            (cannot happen for images of linear maps).
+    Uses a lookup table while size is at most _TABLE_FACTOR per key (which
+    _fold keeps true for linear maps), and sorting beyond that.
     """
-    g = np.gcd(num, den)
-    nr, dr = num // g, den // g
-    out = np.zeros(num.shape[0], dtype=np.int64)
-    for sign, part in ((1, nr), (-1, dr)):
-        mask = part > 1
-        if not mask.any():
+    flat = keys.ravel()
+    if size > _TABLE_FACTOR * flat.size:
+        uniq, inverse = np.unique(flat, return_inverse=True)
+        return inverse.reshape(keys.shape), uniq.size
+    present = np.flatnonzero(np.bincount(flat, minlength=size))
+    lut = np.zeros(size, dtype=np.int64)
+    lut[present] = np.arange(present.size)
+    return lut[keys], present.size
+
+
+def _row_symbols(row: np.ndarray, q: int, n_vars: int) -> np.ndarray:
+    """row . s mod q on the grid, as an outer sum over the row's support only."""
+    dtype = np.min_scalar_type(2 * q - 1)
+    digits = np.arange(q, dtype=np.int64)
+    sym = np.zeros((1,) * n_vars, dtype=dtype)
+    for v in np.flatnonzero(row):
+        axis = [1] * n_vars
+        axis[v] = q
+        sym = sym + ((int(row[v]) * digits) % q).astype(dtype).reshape(axis)
+        sym = np.minimum(sym, sym - dtype.type(q))  # unsigned wrap keeps sym < q
+    return sym
+
+
+def _fold(image: tuple[np.ndarray, int], mat: np.ndarray, q: int) -> tuple[np.ndarray, int]:
+    """Image of the joint map (image, mat . s).
+
+    Each row's symbol is appended to the keys as one more base-q digit.  The
+    keys are densified first whenever the digit would take their range past
+    the grid size: after that a linear image either has one cell per class,
+    so the row cannot split any class, or at most grid/q classes.
+    """
+    if q ** mat.shape[0] > 2**62:
+        raise TooLargeToEnumerate(f"image of {mat.shape[0]} symbols over F_{q} cannot be keyed")
+    keys, n = image
+    for row in mat % q:
+        if not row.any():
             continue
-        for v in np.unique(part[mask]):
-            e = 0
-            x = int(v)
-            while x % q == 0:
-                x //= q
-                e += 1
-            if x != 1:
-                raise InvalidArgument(f"count ratio {int(v)} is not a power of {q}")
-            out[part == v] += sign * e
-    return out
+        sym = _row_symbols(row, q, keys.ndim)
+        cells = math.prod(np.broadcast_shapes(keys.shape, sym.shape))
+        if n * q > _TABLE_FACTOR * cells:
+            keys, n = _dense_ranks(keys, n)
+            if n == cells:  # every class is one cell of the grid: nothing to split
+                continue
+        keys = keys * q + sym
+        n *= q
+    return _dense_ranks(keys, n)
+
+
+def _entropy_sum(image: tuple[np.ndarray, int], q: int, total: int) -> int:
+    """Sum over image classes of c * log_q(c), c the class's count of all states.
+
+    That count is the class's count on the image's grid times q**free, for
+    the `free` variables the image does not depend on.  Raises
+    InvalidArgument if a count is not a power of q (never for linear maps).
+    """
+    ranks, n = image
+    counts = np.bincount(ranks.ravel(), minlength=n)
+    exps = np.zeros(n, dtype=np.int64)
+    rest = counts.copy()
+    while (divisible := (rest > 1) & (rest % q == 0)).any():
+        rest[divisible] //= q
+        exps[divisible] += 1
+    if (rest != 1).any():
+        raise InvalidArgument(f"class count {int(counts[rest != 1][0])} is not a power of {q}")
+    free = ranks.shape.count(1)
+    return q**free * int(counts @ exps) + total * free
+
+
+def _cond_entropy(given: tuple[np.ndarray, int], a_mat: np.ndarray, q: int,
+                  total: int) -> int:
+    """total * H(A.s | B.s) in log_q units, for `given` the image of B."""
+    return _entropy_sum(given, q, total) - _entropy_sum(_fold(given, a_mat, q), q, total)
 
 
 @dataclass(frozen=True)
@@ -226,17 +265,18 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     """Brute-force mutual information of (inputs; view | colluders' data).
 
     Enumerates every assignment of the input symbols and key seeds,
-    tabulates the exact joint distribution and decides independence by
-    count factorization; the returned value is exact (log_q units).
-    Memory grows linearly with the state count.
+    tabulates the exact class counts of the colluders' data C, the inputs
+    U and the view V, and returns I(U; V | C) = H(V | C) - H(V | U, C)
+    exactly (log_q units).  Peak memory is at most about 48 bytes per
+    state of the variables the maps depend on (42.6 measured for scheme C
+    on cyclic(3, 2) at q = 5, where they depend on all 390 625 states).
 
     Raises:
         TooLargeToEnumerate: if q**((N*n + seeds) * width) exceeds cap.
     """
     p.validate(s)
     q = s.field.q
-    n_base = s.topology.N * s.topology.n + s.seed_count
-    n_vars = n_base * width
+    n_vars = (s.topology.N * s.topology.n + s.seed_count) * width
     total = q ** n_vars
     if total > cap:
         raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
@@ -245,38 +285,10 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     v_mat = _expand_for_width(adversary_view(s, p).coefficients.a, width)
     c_mat = _expand_for_width(_known_rows(s, p.users, p.users).a, width)
 
-    ku = np.empty(total, dtype=np.int64)
-    kv = np.empty(total, dtype=np.int64)
-    kc = np.empty(total, dtype=np.int64)
-    at = 0
-    for chunk in _assignments(q, n_vars):
-        nrows = chunk.shape[0]
-        ku[at:at + nrows] = _image_keys(chunk, u_mat, q)
-        kv[at:at + nrows] = _image_keys(chunk, v_mat, q)
-        kc[at:at + nrows] = _image_keys(chunk, c_mat, q)
-        at += nrows
-
-    _, u_rank = np.unique(ku, return_inverse=True)
-    _, v_rank = np.unique(kv, return_inverse=True)
-    _, c_rank = np.unique(kc, return_inverse=True)
-    uc = _dense_pair(c_rank, u_rank)
-    vc = _dense_pair(c_rank, v_rank)
-    _, uc_rank, uc_counts = np.unique(uc, return_inverse=True, return_counts=True)
-    _, vc_rank, vc_counts = np.unique(vc, return_inverse=True, return_counts=True)
-    c_counts = np.bincount(c_rank)
-    triple = _dense_pair(uc_rank, v_rank)
-    _, first, triple_counts = np.unique(triple, return_index=True, return_counts=True)
-
-    n_uvc = triple_counts
-    n_c = c_counts[c_rank[first]]
-    n_uc = uc_counts[uc_rank[first]]
-    n_vc = vc_counts[vc_rank[first]]
-    num = n_uvc * n_c
-    den = n_uc * n_vc
-    if np.array_equal(num, den):
-        return OracleResult(is_zero=True, mi_value=Fraction(0), states=total)
-    exps = _log_q_exact(num, den, q)
-    mi = Fraction(int(np.sum(n_uvc * exps)), total)
+    c_image = _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), c_mat, q)
+    uc_image = _fold(c_image, u_mat, q)
+    mi = Fraction(_cond_entropy(c_image, v_mat, q, total)
+                  - _cond_entropy(uc_image, v_mat, q, total), total)
     return OracleResult(is_zero=(mi == 0), mi_value=mi, states=total)
 
 
@@ -296,22 +308,8 @@ def cond_entropy_enumerated(a_map: FieldMatrix, b_map: FieldMatrix,
     total = q ** n_vars
     if total > cap:
         raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
-    ka = np.empty(total, dtype=np.int64)
-    kb = np.empty(total, dtype=np.int64)
-    at = 0
-    for chunk in _assignments(q, n_vars):
-        nrows = chunk.shape[0]
-        ka[at:at + nrows] = _image_keys(chunk, a_map.a, q)
-        kb[at:at + nrows] = _image_keys(chunk, b_map.a, q)
-        at += nrows
-    _, b_rank = np.unique(kb, return_inverse=True)
-    b_counts = np.bincount(b_rank)
-    _, a_rank = np.unique(ka, return_inverse=True)
-    pair = _dense_pair(b_rank, a_rank)
-    _, first, pair_counts = np.unique(pair, return_index=True, return_counts=True)
-    n_b = b_counts[b_rank[first]]
-    exps = _log_q_exact(n_b, pair_counts, q)
-    return Fraction(int(np.sum(pair_counts * exps)), total)
+    b_image = _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), b_map.a, q)
+    return Fraction(_cond_entropy(b_image, a_map.a, q, total), total)
 
 
 # -- decodability --------------------------------------------------------------
@@ -332,11 +330,12 @@ def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
     """Simulate rounds and check decode == direct sum, plus the certificate.
 
     samples=None runs every (inputs, seeds) assignment exactly once
-    (chunked, so memory stays bounded); otherwise `samples` random
-    assignments are drawn.  The algebraic cancellation certificate is
-    asserted in both modes, and the result is the conjunction, so a
-    disagreement between simulation and certificate can only surface as
-    a failure.
+    (chunked, so memory stays bounded); each column of a width-w block is
+    an independent round, so that is exhaustive for every width.
+    Otherwise `samples` random assignments are drawn.  The algebraic
+    cancellation certificate is asserted in both modes, and the result is
+    the conjunction, so a disagreement between simulation and certificate
+    can only surface as a failure.
 
     Raises:
         TooLargeToEnumerate: exhaustive state space above cap.
@@ -344,9 +343,8 @@ def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
     top, q = s.topology, s.field.q
     n_vars = top.N * top.n + s.seed_count
     if samples is None:
-        total = q ** (n_vars * width)
-        if total > cap:
-            raise TooLargeToEnumerate(f"{q}**{n_vars * width} states exceed the cap {cap}")
+        if q ** n_vars > cap:
+            raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
         sim_ok = all(_simulate_columns(s, chunk.T) for chunk in _assignments(q, n_vars))
     else:
         rng = np.random.default_rng(seed)
@@ -527,7 +525,7 @@ def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> Convers
     top = s.topology
     per_link: dict[tuple[int, int], Fraction] = {}
     for i in range(1, top.N + 1):
-        others = np.vstack([_user_key_rows(s, k) for k in range(1, top.N + 1) if k != i])
+        others = np.vstack([s.user_key_map(k).a.T for k in range(1, top.N + 1) if k != i])
         others_m = _expand_width_matrix(s.field, others, width)
         for j in top.user_links[i - 1]:
             target = _expand_width_matrix(s.field, s.link_keys.a[:, [s.link_index(i, j)]].T,
@@ -537,7 +535,7 @@ def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> Convers
     empty = gf.zeros(s.field, 0, s.seed_count * width)
     total = Fraction(0)
     for i in range(1, top.N + 1):
-        mine = _expand_width_matrix(s.field, _user_key_rows(s, i), width)
+        mine = _expand_width_matrix(s.field, s.user_key_map(i).a.T, width)
         total += cond_entropy_enumerated(mine, empty, cap=cap)
 
     return ConverseChecks(

@@ -4,7 +4,11 @@ Everything here is deliberately naive and separate from the library code
 paths it checks.
 """
 
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 
 def brute_inverse(a: int, q: int) -> int:
@@ -54,3 +58,49 @@ def brute_min_cut(top) -> int:
             if _some_user_disconnected(top, set(subset)):
                 return size
     raise AssertionError("no cut found")
+
+
+def _all_states(q: int, n_vars: int) -> np.ndarray:
+    """Every assignment of n_vars variables over F_q, first variable most significant."""
+    index = np.arange(q ** n_vars, dtype=np.int64)[:, None]
+    return (index // q ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)) % q
+
+
+def _images(q: int, *mats) -> list:
+    """Per state, the tuple of values of every map (mat . s mod q)."""
+    states = _all_states(q, mats[0].shape[1])
+    parts = [(states @ np.asarray(m, dtype=np.int64).T) % q for m in mats]
+    return [tuple(tuple(int(x) for x in part[k]) for part in parts)
+            for k in range(states.shape[0])]
+
+
+def _log_q(ratio: Fraction, q: int) -> int:
+    """The integer e with ratio == q**e; fails if there is none."""
+    e, x = 0, ratio
+    while x > 1 and x.numerator % q == 0:
+        x, e = x / q, e + 1
+    while x < 1 and x.denominator % q == 0:
+        x, e = x * q, e - 1
+    assert x == 1, f"{ratio} is not a power of {q}"
+    return e
+
+
+def brute_cond_entropy(a, b, q: int) -> Fraction:
+    """H(A.s | B.s) in log_q units for s uniform over F_q^cols, one state at a time."""
+    images = _images(q, a, b)
+    n_ab = Counter(images)
+    n_b = Counter(img_b for _, img_b in images)
+    return sum((Fraction(count, len(images)) * _log_q(Fraction(n_b[img_b], count), q)
+                for (_, img_b), count in n_ab.items()), Fraction(0))
+
+
+def brute_mutual_information(u, v, c, q: int) -> Fraction:
+    """I(U.s; V.s | C.s) in log_q units for s uniform, from the joint counts."""
+    images = _images(q, u, v, c)
+    n_uvc = Counter(images)
+    n_uc = Counter((iu, ic) for iu, _, ic in images)
+    n_vc = Counter((iv, ic) for _, iv, ic in images)
+    n_c = Counter(ic for _, _, ic in images)
+    return sum((Fraction(count, len(images))
+                * _log_q(Fraction(count * n_c[ic], n_uc[(iu, ic)] * n_vc[(iv, ic)]), q)
+                for (iu, iv, ic), count in n_uvc.items()), Fraction(0))

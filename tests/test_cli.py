@@ -135,11 +135,34 @@ def test_simulate(tmp_path, capsys):
     out = tmp_path / "transcript.json"
     assert main(["simulate", "--config", str(cfg), "--scheme", str(scheme_path),
                  "--out", str(out)]) == 0
-    assert "decoded == direct sum: True" in capsys.readouterr().out
+    assert "decoded == direct sum: True" in capsys.readouterr().err
     doc = read_json(out)
     assert doc["mismatch"] is False
     assert all(len(v) == 3 for v in doc["x_msgs"].values())
     assert doc["decoded"] == doc["direct_sum"]
+
+
+def test_simulate_stdout_is_json(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    scheme_path = tmp_path / "scheme.json"
+    assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--scheme", str(scheme_path)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["mismatch"] is False
+    assert "decoded == direct sum: True" in captured.err
+
+
+def test_exhaustive_decodability_counts_enumerated_columns(tmp_path):
+    # each column of a width-2 block is its own round: 3**10 columns cover them all
+    cfg = write_config(tmp_path, field_q=3, block_width=2)
+    doc = read_json(cfg)
+    del doc["caps"]
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    deco = read_json(out)["decodability"]
+    assert deco == {"mode": "exhaustive", "states": 59049, "passed": True}
 
 
 def test_report_optimal_rows_scheme_b(tmp_path):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hsa_lab import gf
+from hsa_lab import gf, verify
 from hsa_lab.errors import InvalidArgument, TooLargeToEnumerate
 from hsa_lab.gf import FieldMatrix, PrimeField
 from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme_c
@@ -23,6 +24,7 @@ from hsa_lab.verify import (
     sweep_security,
 )
 
+from oracles import brute_cond_entropy, brute_mutual_information
 from test_acceptance import symbolic_messages
 
 F3 = PrimeField(3)
@@ -329,3 +331,73 @@ def test_converse_spot_checks_example():
     assert checks.user_entropy_sum == Fraction(6)  # 3 users x L, L = 2
     assert checks.sum_lower_bound == Fraction(6)
     assert checks.sum_meets_bound
+
+
+# -- enumeration engine vs the per-state reference ----------------------------------
+
+
+def oracle_maps(s, p, width):
+    """U (every input), V (the view) and C (the colluders' inputs and keys)."""
+    n, n_w = s.topology.n, s.topology.N * s.topology.n
+    eye = np.eye(n_w + s.seed_count, dtype=np.int64)
+    keys = [np.hstack([np.zeros((m.cols, n_w), dtype=np.int64), m.a.T])
+            for m in map(s.user_key_map, p.users)]
+    c = np.vstack([eye[(i - 1) * n:i * n] for i in p.users] + keys + [eye[:0]])
+    v = adversary_view(s, p).coefficients.a
+    return [np.kron(m, np.eye(width, dtype=np.int64)) for m in (eye[:n_w], v, c)]
+
+
+def small_matrix(data, q, rows, cols):
+    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=rows * cols,
+                                 max_size=rows * cols))
+    return np.array(entries, dtype=np.int64).reshape(rows, cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 4), st.integers(0, 4),
+       st.integers(0, 4), st.data())
+def test_cond_entropy_matches_reference(q, cols, a_rows, b_rows, data):
+    field = PrimeField(q)
+    a = small_matrix(data, q, a_rows, cols)
+    b = small_matrix(data, q, b_rows, cols)
+    h = cond_entropy_enumerated(FieldMatrix(field, a), FieldMatrix(field, b))
+    assert h == brute_cond_entropy(a, b, q)
+
+
+# (K, q, width) with at most 3**9 states, so the reference stays quick
+ORACLE_GRID = [(2, 2, 1), (2, 3, 1), (2, 5, 1), (2, 7, 1), (2, 2, 3), (2, 3, 3),
+               (3, 3, 1), (3, 5, 1), (3, 7, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORACLE_GRID), st.sampled_from(["clean", "keyless", "random"]),
+       st.data())
+def test_mi_oracle_matches_reference(grid, key_map, data):
+    k, q, width = grid
+    s = build_scheme_a(build_cyclic(k, 1), PrimeField(q), seed=1)
+    if key_map == "keyless":
+        s = keyless(s)
+    elif key_map == "random":
+        km = small_matrix(data, q, s.key_map.rows, s.key_map.cols)
+        s = Scheme(variant=s.variant, topology=s.topology, field=s.field,
+                   decode_matrix=s.decode_matrix, encoders=s.encoders,
+                   key_map=FieldMatrix(s.field, km), key_weights=s.key_weights, t_u=s.t_u)
+    pat = data.draw(st.sampled_from(list(iter_patterns(s.topology, k, k, all_sizes=True))))
+    res = mi_oracle(s, pat, width=width)
+    expected = brute_mutual_information(*oracle_maps(s, pat, width), q)
+    assert res.mi_value == expected and res.is_zero is (expected == 0)
+    assert res.states == q ** ((k + s.seed_count) * width)
+
+
+def test_engine_sort_fallback_matches_reference():
+    # with no room for lookup tables every dense ranking goes through np.unique
+    rng = np.random.default_rng(11)
+    s = keyless(build_scheme_a(build_cyclic(3, 1), F5, seed=0))
+    pat = CollusionPattern([1], [2])
+    a, b = rng.integers(0, 7, (3, 4)), rng.integers(0, 7, (2, 4))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_TABLE_FACTOR", 0)
+        leak = mi_oracle(s, pat)
+        h = cond_entropy_enumerated(FieldMatrix(F7, a), FieldMatrix(F7, b))
+    assert leak.mi_value == brute_mutual_information(*oracle_maps(s, pat, 1), 5) > 0
+    assert h == brute_cond_entropy(a, b, 7)
