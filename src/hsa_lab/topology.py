@@ -64,7 +64,7 @@ def build_explicit(n_users: int, n_relays: int, user_links: Sequence[Sequence[in
 
     Raises:
         InvalidTopology: on degree violations, duplicate links, N*n != K*m,
-            or a user degree reaching the relay count.
+            or a user degree of zero or reaching the relay count.
     """
     if n_users < 1 or n_relays < 1:
         raise InvalidTopology("need at least one user and one relay")
@@ -83,6 +83,8 @@ def build_explicit(n_users: int, n_relays: int, user_links: Sequence[Sequence[in
     degree = len(links[0])
     if any(len(h) != degree for h in links):
         raise InvalidTopology("user degrees are not homogeneous")
+    if degree < 1:
+        raise InvalidTopology("every user needs at least one relay")
     if degree >= n_relays:
         raise InvalidTopology(f"user degree {degree} must be below the relay count {n_relays}")
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -357,6 +356,11 @@ def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
 # -- pattern sweeps ------------------------------------------------------------
 
 
+def _pattern_sizes(t_h: int, t_u: int, all_sizes: bool):
+    """(relay sizes, user sizes) of the patterns a sweep covers."""
+    return (range(t_h + 1), range(t_u + 1)) if all_sizes else ((t_h,), (t_u,))
+
+
 def iter_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> Iterator[CollusionPattern]:
     """All collusion patterns at the given budgets.
 
@@ -365,8 +369,7 @@ def iter_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> Iterator[Collusio
     Security of a maximal pattern does not formally imply security of its
     sub-patterns, hence the lattice option.
     """
-    relay_sizes = range(0, t_h + 1) if all_sizes else (t_h,)
-    user_sizes = range(0, t_u + 1) if all_sizes else (t_u,)
+    relay_sizes, user_sizes = _pattern_sizes(t_h, t_u, all_sizes)
     for rs in relay_sizes:
         for us in user_sizes:
             for relays in itertools.combinations(range(1, top.K + 1), rs):
@@ -375,8 +378,7 @@ def iter_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> Iterator[Collusio
 
 
 def count_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> int:
-    relay_sizes = range(0, t_h + 1) if all_sizes else (t_h,)
-    user_sizes = range(0, t_u + 1) if all_sizes else (t_u,)
+    relay_sizes, user_sizes = _pattern_sizes(t_h, t_u, all_sizes)
     return sum(math.comb(top.K, rs) * math.comb(top.N, us)
                for rs in relay_sizes for us in user_sizes)
 
@@ -393,7 +395,6 @@ class SweepReport:
     disagreements: int = 0
     subsampled: bool = False
     first_failure: Optional[CollusionPattern] = None
-    failures: list = dc_field(default_factory=list)
 
     @property
     def all_passed(self) -> bool:
@@ -430,8 +431,7 @@ def _reservoir(patterns: Iterator[CollusionPattern], budget: int,
 
 def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
                    all_sizes: Optional[bool] = None, method: str = "rank",
-                   width: int = 1, oracle_cap: int = 10**8, seed: int = 0,
-                   threads: int = 1) -> SweepReport:
+                   width: int = 1, oracle_cap: int = 10**8, seed: int = 0) -> SweepReport:
     """Check every collusion pattern at the given budgets.
 
     method is "rank", "oracle", or "both"; with "both" any disagreement
@@ -448,39 +448,23 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
         patterns = _reservoir(patterns, budget, seed)
         report.subsampled = True
 
-    def check(pat: CollusionPattern):
+    for pat in patterns:
+        report.checked += 1
         rank_ok = oracle_ok = None
-        skipped = False
         if method in ("rank", "both"):
             rank_ok = check_security_rank(s, pat)
         if method in ("oracle", "both"):
             try:
                 oracle_ok = mi_oracle(s, pat, width=width, cap=oracle_cap).is_zero
             except TooLargeToEnumerate:
-                skipped = True
-        return pat, rank_ok, oracle_ok, skipped
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(check, patterns))
-    else:
-        results = [check(pat) for pat in patterns]
-
-    for pat, rank_ok, oracle_ok, skipped in results:
-        report.checked += 1
-        if skipped:
-            report.skipped_cap += 1
-            if method == "oracle":
-                continue
-        verdicts = [v for v in (rank_ok, oracle_ok) if v is not None]
-        if method == "both" and rank_ok is not None and oracle_ok is not None \
-                and rank_ok != oracle_ok:
+                report.skipped_cap += 1
+        if rank_ok is not None and oracle_ok is not None and rank_ok != oracle_ok:
             report.disagreements += 1
+        verdicts = [v for v in (rank_ok, oracle_ok) if v is not None]
         if verdicts and all(verdicts):
             report.passed += 1
         elif verdicts:
             report.failed += 1
-            report.failures.append(pat)
             if report.first_failure is None:
                 report.first_failure = pat
     return report

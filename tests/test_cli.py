@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsa_lab.cli import main
 
@@ -319,3 +325,57 @@ def test_bad_values_exit_2_without_traceback(tmp_path, capsys, case):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["build", "report"])
+@pytest.mark.parametrize("overrides", [
+    {"caps": {"sweep_budget": 0}},
+    {"caps": {"sweep_budget": -5}},
+    {"seed": -1},
+    {"topology": {"K": 3.7}},
+    {"topology": {"n": True}},
+    {"topology": {"n": 0}},
+], ids=["sweep_budget 0", "sweep_budget -5", "seed -1", "K 3.7", "n true", "n 0"])
+def test_invalid_values_exit_2_before_any_work(tmp_path, capsys, overrides, command):
+    # a budget below 1 would certify a scheme without checking a single pattern
+    cfg = write_config(tmp_path, field_q=3, **overrides)
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_integral_values_in_any_json_form_accepted(tmp_path):
+    paths = []
+    for q in (5, 5.0, "5"):
+        cfg = write_config(tmp_path, field_q=q, seed=float(BASE["seed"]))
+        paths.append(tmp_path / f"scheme-{q!r}.json")
+        assert main(["build", "--config", str(cfg), "--out", str(paths[-1])]) == 0
+    assert len({p.read_bytes() for p in paths}) == 1
+
+
+FUZZ_FIELDS = [("topology", "K"), ("topology", "n"), (None, "field_q"),
+               ("security", "t_h"), ("security", "t_u"), (None, "block_width"),
+               (None, "seed"), ("caps", "enumeration"), ("caps", "sweep_budget")]
+FUZZ_VALUES = (st.integers(-3, 8) | st.floats(-3, 8)
+               | st.sampled_from([math.nan, math.inf, -math.inf]) | st.booleans()
+               | st.text(max_size=4) | st.none() | st.lists(st.integers(-3, 8), max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=FUZZ_VALUES)
+def test_fuzzed_config_never_ends_in_traceback(field, value):
+    section, key = field
+    doc = json.loads(json.dumps(BASE))
+    (doc if section is None else doc[section])[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(doc))
+        for argv in (["bounds", "--config", str(cfg)],
+                     ["build", "--config", str(cfg), "--out", str(Path(tmp) / "scheme.json")]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            assert err.getvalue().count("\n") <= 1, err.getvalue()

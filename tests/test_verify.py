@@ -288,19 +288,24 @@ def test_sweep_budget_subsampling_is_deterministic():
     assert r1.as_dict() == r2.as_dict()
 
 
-def test_sweep_threads_match_serial():
-    s = example_scheme()
-    serial = sweep_security(s, 1, 1, all_sizes=True, threads=1)
-    threaded = sweep_security(s, 1, 1, all_sizes=True, threads=4)
-    assert serial.as_dict() == threaded.as_dict()
-
-
 def test_sweep_oracle_and_both():
     s = example_scheme()
     rep = sweep_security(s, 1, 1, all_sizes=True, method="both", oracle_cap=10**6)
     assert rep.passed == 16 and rep.disagreements == 0 and rep.skipped_cap == 0
     capped = sweep_security(s, 1, 1, all_sizes=False, method="oracle", oracle_cap=10)
     assert capped.skipped_cap == 9 and capped.passed == 0 and capped.failed == 0
+
+
+def test_sweep_both_decides_oracle_skips_by_rank():
+    # a skipped oracle run gives no verdict: the rank route alone decides the
+    # pattern, and no disagreement is counted with only one route run
+    for s in (example_scheme(), keyless(example_scheme())):
+        both = sweep_security(s, 1, 1, all_sizes=True, method="both", oracle_cap=10)
+        rank = sweep_security(s, 1, 1, all_sizes=True, method="rank")
+        assert both.skipped_cap == both.checked == 16 and both.disagreements == 0
+        assert (both.passed, both.failed, both.first_failure) == \
+            (rank.passed, rank.failed, rank.first_failure)
+    assert rank.failed > 0
 
 
 # -- enumerated entropy -------------------------------------------------------------
