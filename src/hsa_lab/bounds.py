@@ -114,6 +114,11 @@ def key_lower(top: Topology, t_h: int, t_u: int) -> tuple[Fraction, Optional[Fra
     """
     if not feasibility(top, t_h, t_u):
         raise InvalidArgument("key bounds are stated only for feasible parameters")
+    return _key_bounds(top, t_h, t_u)
+
+
+def _key_bounds(top: Topology, t_h: int, t_u: int) -> tuple[Fraction, Optional[Fraction]]:
+    """key_lower for parameters already known to be feasible."""
     n, m, big_n = top.n, top.m, top.N
     if _pair_cyclic_case(top, t_h, t_u):
         return Fraction(1), Fraction(big_n - 1)
@@ -136,7 +141,7 @@ def bounds_report(top: Topology, t_h: int, t_u: int) -> BoundsReport:
             rzsigma_lower=None,
             special_case=None,
         )
-    rz, rzsigma = key_lower(top, t_h, t_u)
+    rz, rzsigma = _key_bounds(top, t_h, t_u)
     special = SPECIAL_CASE_PAIR_CYCLIC if _pair_cyclic_case(top, t_h, t_u) else None
     return BoundsReport(
         feasible=True,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for file integers."""
 
 
 class HsaLabError(Exception):
@@ -55,3 +55,20 @@ class ProtocolViolation(HsaLabError):
 
 class TooLargeToEnumerate(HsaLabError):
     """Exhaustive enumeration would exceed the configured cap."""
+
+
+def as_int(value, what: str) -> int:
+    """An integer given in any JSON form (13, 13.0 or "13") as an int.
+
+    The one rule for every integer read from a config or scheme file.
+
+    Raises:
+        InvalidArgument: for booleans, fractions and anything int() rejects.
+    """
+    try:
+        # int() would accept booleans and truncate fractions
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}") from None

@@ -195,13 +195,8 @@ class FieldMatrix:
 
     # -- linear algebra ----------------------------------------------------
 
-    def rref(self) -> tuple["FieldMatrix", list[int]]:
-        """Reduced row-echelon form and the list of pivot columns."""
-        r, pivots = _rref(self.a, self.field)
-        return FieldMatrix(self.field, r), pivots
-
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_rref(self.a, self.field)[1])
 
     def inverse(self) -> "FieldMatrix":
         """Inverse of a square nonsingular matrix (Gauss-Jordan).
@@ -245,7 +240,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 def _rref(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[int]]:
     q = field.q
-    m = a.copy() % q
+    m = a % q  # a fresh array: the caller's stays untouched
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0

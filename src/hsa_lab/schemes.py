@@ -38,6 +38,7 @@ from .errors import (
     InvalidArgument,
     ShapeError,
     SingularMatrix,
+    as_int,
 )
 from .gf import FieldMatrix, PrimeField
 from .topology import Topology, build_multiple_cyclic
@@ -134,7 +135,7 @@ class Scheme:
     def from_dict(d: dict) -> "Scheme":
         if d.get("schema") != _SCHEME_SCHEMA:
             raise InvalidArgument(f"unsupported scheme schema {d.get('schema')!r}")
-        field = PrimeField(int(d["field_q"]))
+        field = PrimeField(as_int(d["field_q"], "field_q"))
         top = Topology.from_dict(d["topology"])
         variant = d["variant"]
         if variant not in (VARIANT_LINK_KEYS, VARIANT_WEIGHTED):
@@ -144,11 +145,11 @@ class Scheme:
             variant=variant,
             topology=top,
             field=field,
-            decode_matrix=FieldMatrix(field, d["decode_matrix"]),
-            encoders=tuple(FieldMatrix(field, e) for e in d["encoders"]),
-            key_map=FieldMatrix(field, d["key_map"]),
-            key_weights=None if weights is None else FieldMatrix(field, weights),
-            t_u=None if d.get("t_u") is None else int(d["t_u"]),
+            decode_matrix=_read_matrix(field, d["decode_matrix"], "decode_matrix"),
+            encoders=tuple(_read_matrix(field, e, "encoders") for e in d["encoders"]),
+            key_map=_read_matrix(field, d["key_map"], "key_map"),
+            key_weights=None if weights is None else _read_matrix(field, weights, "key_weights"),
+            t_u=None if d.get("t_u") is None else as_int(d["t_u"], "t_u"),
         )
         scheme._check_shapes()
         return scheme
@@ -167,6 +168,16 @@ class Scheme:
             if self.key_weights is None or \
                     (self.key_weights.rows, self.key_weights.cols) != (top.N, top.K):
                 raise InvalidArgument("weighted schemes need an N x K weight matrix")
+
+
+def _read_matrix(field: PrimeField, rows, what: str) -> FieldMatrix:
+    """A scheme-file matrix: a list of rows of integers that fit int64."""
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise InvalidArgument(f"{what} must be a list of rows")
+    entries = [[as_int(x, f"an entry of {what}") for x in r] for r in rows]
+    if any(not -2**63 <= x < 2**63 for r in entries for x in r):
+        raise InvalidArgument(f"an entry of {what} does not fit int64")
+    return FieldMatrix(field, entries)
 
 
 @dataclass(frozen=True)

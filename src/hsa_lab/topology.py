@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .errors import InvalidArgument, InvalidTopology
+from .errors import InvalidArgument, InvalidTopology, as_int
 
 
 def _wrap(a: int, k: int) -> int:
@@ -56,7 +56,8 @@ class Topology:
 
     @staticmethod
     def from_dict(d: dict) -> "Topology":
-        return build_explicit(int(d["N"]), int(d["K"]), d["user_links"])
+        return build_explicit(as_int(d["N"], "topology N"), as_int(d["K"], "topology K"),
+                              d["user_links"])
 
 
 def build_explicit(n_users: int, n_relays: int, user_links: Sequence[Sequence[int]]) -> Topology:
@@ -65,15 +66,19 @@ def build_explicit(n_users: int, n_relays: int, user_links: Sequence[Sequence[in
     Raises:
         InvalidTopology: on degree violations, duplicate links, N*n != K*m,
             or a user degree of zero or reaching the relay count.
+        InvalidArgument: if user_links is not a list of integer lists.
     """
     if n_users < 1 or n_relays < 1:
         raise InvalidTopology("need at least one user and one relay")
+    if not isinstance(user_links, (list, tuple)) or \
+            not all(isinstance(h, (list, tuple)) for h in user_links):
+        raise InvalidArgument("user_links must be a list of relay lists")
     if len(user_links) != n_users:
         raise InvalidTopology(f"expected {n_users} adjacency lists, got {len(user_links)}")
 
     links: list[tuple[int, ...]] = []
     for i, h in enumerate(user_links, start=1):
-        h = tuple(sorted(int(j) for j in h))
+        h = tuple(sorted(as_int(j, "a user_links entry") for j in h))
         if len(set(h)) != len(h):
             raise InvalidTopology(f"user {i} lists a relay twice")
         if any(j < 1 or j > n_relays for j in h):

@@ -13,7 +13,8 @@ path; agreement between the two is itself a tested property.  It evaluates
 each output symbol only over the variables in that row's support, read off
 the row's nonzero coefficients.  That needs no elimination, so the oracle
 still makes no rank calls, and a map's count over all states is its count
-over its support times q for every variable outside it.
+over its support times q for every variable outside it.  The rank route
+works on the quotient by the colluders' known inputs: two ranks per pattern.
 """
 
 from __future__ import annotations
@@ -103,16 +104,17 @@ def _known_rows(s: Scheme, input_users: Iterable[int], key_users: Iterable[int])
 def rank_leak(s: Scheme, p: CollusionPattern) -> int:
     """Exact mutual information (log_q units per block column) via ranks.
 
-    For linear images of uniform independent seeds,
-    I(inputs; view | colluders' data) =
-    [rank(view+cond) - rank(cond)] - [rank(view+full) - rank(full)].
+    I(inputs; view | colluders' data) for linear maps of uniform seeds.  A
+    known input is a unit row on a column no other row conditions on, so it
+    adds 1 to every rank and clears its column; with V = [V_w | V_s] the view
+    and K_c the colluders' key rows, the leak comes down to
+    rank([V_w on the free users' inputs | V_s ; 0 | K_c]) - rank([V_s ; K_c]).
     """
-    view = adversary_view(s, p).coefficients
-    cond = _known_rows(s, p.users, p.users)
-    full = _known_rows(s, range(1, s.topology.N + 1), p.users)
-    h_view_given_cond = gf.vstack([view, cond]).rank() - cond.rank()
-    h_view_given_full = gf.vstack([view, full]).rank() - full.rank()
-    return h_view_given_cond - h_view_given_full
+    n, n_w = s.topology.n, s.topology.N * s.topology.n
+    stack = gf.vstack([adversary_view(s, p).coefficients, _known_rows(s, (), p.users)])
+    seeds = list(range(n_w, stack.cols))
+    free = [c for c in range(n_w) if c // n + 1 not in p.users]
+    return stack.take_cols(free + seeds).rank() - stack.take_cols(seeds).rank()
 
 
 def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:

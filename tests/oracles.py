@@ -104,3 +104,32 @@ def brute_mutual_information(u, v, c, q: int) -> Fraction:
     return sum((Fraction(count, len(images))
                 * _log_q(Fraction(count * n_c[ic], n_uc[(iu, ic)] * n_vc[(iv, ic)]), q)
                 for (iu, iv, ic), count in n_uvc.items()), Fraction(0))
+
+
+def brute_rank(mat, q: int) -> int:
+    """Rank over F_q by Gauss-Jordan elimination, one pivot column at a time."""
+    m = np.asarray(mat, dtype=np.int64) % q
+    rank = 0
+    for col in range(m.shape[1]):
+        pivots = np.flatnonzero(m[rank:, col])
+        if pivots.size == 0:
+            continue
+        m[[rank, rank + pivots[0]]] = m[[rank + pivots[0], rank]]
+        m[rank] = m[rank] * brute_inverse(int(m[rank, col]), q) % q
+        others = np.arange(m.shape[0]) != rank
+        m[others] = (m[others] - np.outer(m[others, col], m[rank])) % q
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def four_rank_leak(u, v, c, q: int) -> int:
+    """I(U.s; V.s | C.s) in log_q units as H(V | C) - H(V | U, C), four ranks.
+
+    u holds every input row, v the view and c the colluders' inputs and keys:
+    [rank(v+c) - rank(c)] - [rank(v+u+c) - rank(u+c)].
+    """
+    uc = np.vstack([u, c])
+    return ((brute_rank(np.vstack([v, c]), q) - brute_rank(c, q))
+            - (brute_rank(np.vstack([v, uc]), q) - brute_rank(uc, q)))

@@ -327,6 +327,31 @@ def test_bad_values_exit_2_without_traceback(tmp_path, capsys, case):
     assert err.startswith("configuration error") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("path,edit", [
+    (["field_q"], lambda q: q + 0.5),
+    (["topology", "N"], lambda n: n + 0.9),
+    (["decode_matrix", 0, 0], lambda x: x + 0.5),
+    (["topology", "user_links", 0, 0], lambda j: j + 0.5),
+    (["key_map", 0, 0], lambda x: 10**30),
+], ids=["field_q 3.5", "N 3.9", "decode_matrix entry + 0.5", "user_links entry + 0.5",
+        "key_map entry 10**30"])
+def test_scheme_file_values_exit_2(tmp_path, capsys, path, edit):
+    # a scheme file's integers follow the config rule, and matrix entries must fit int64
+    cfg = write_config(tmp_path, field_q=3)
+    scheme_path = tmp_path / "scheme.json"
+    assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
+    doc = read_json(scheme_path)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = edit(target[path[-1]])
+    scheme_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--config", str(cfg), "--scheme", str(scheme_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", ["build", "report"])
 @pytest.mark.parametrize("overrides", [
     {"caps": {"sweep_budget": 0}},

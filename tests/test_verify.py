@@ -8,7 +8,7 @@ from hsa_lab import gf, verify
 from hsa_lab.errors import InvalidArgument, TooLargeToEnumerate
 from hsa_lab.gf import FieldMatrix, PrimeField
 from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme_c
-from hsa_lab.topology import build_cyclic, build_multiple_cyclic
+from hsa_lab.topology import build_cyclic, build_multiple_cyclic, build_tree
 from hsa_lab.verify import (
     CollusionPattern,
     adversary_view,
@@ -24,7 +24,7 @@ from hsa_lab.verify import (
     sweep_security,
 )
 
-from oracles import brute_cond_entropy, brute_mutual_information
+from oracles import brute_cond_entropy, brute_mutual_information, four_rank_leak
 from test_acceptance import symbolic_messages
 
 F3 = PrimeField(3)
@@ -406,3 +406,55 @@ def test_engine_sort_fallback_matches_reference():
         h = cond_entropy_enumerated(FieldMatrix(F7, a), FieldMatrix(F7, b))
     assert leak.mi_value == brute_mutual_information(*oracle_maps(s, pat, 1), 5) > 0
     assert h == brute_cond_entropy(a, b, 7)
+
+
+# -- rank route vs the four-rank formula and the oracle ------------------------------
+
+
+def with_key_map(s, km):
+    return Scheme(variant=s.variant, topology=s.topology, field=s.field,
+                  decode_matrix=s.decode_matrix, encoders=s.encoders,
+                  key_map=FieldMatrix(s.field, km), key_weights=s.key_weights, t_u=s.t_u)
+
+
+# (scheme, t_h, t_u): every pattern of the lattice below (t_h, t_u) is checked
+FOUR_RANK_CASES = {
+    "B cyclic(6,2) q=13": (lambda: build_scheme_b(build_cyclic(6, 2), PrimeField(13), 2, seed=0),
+                           2, 2),
+    "B multiple_cyclic(7,2,2) q=29": (
+        lambda: build_scheme_b(build_multiple_cyclic(7, 2, 2), PrimeField(29), 1, seed=3), 1, 1),
+    "C(5) q=7": (lambda: build_scheme_c(5, F7), 1, 3),
+    "A tree(3,2) q=7": (lambda: build_scheme_a(build_tree(3, 2), F7, seed=0), 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(FOUR_RANK_CASES))
+def test_rank_leak_matches_four_rank_formula(case):
+    # the two-rank quotient form must give the four-rank value on every pattern,
+    # for the clean scheme and for schemes whose key map leaks
+    build, t_h, t_u = FOUR_RANK_CASES[case]
+    clean = build()
+    rng = np.random.default_rng(7)
+    random_map = rng.integers(0, clean.field.q, clean.key_map.a.shape)
+    leaks = 0
+    for s in (clean, tampered(clean), keyless(clean), with_key_map(clean, random_map)):
+        for pat in iter_patterns(s.topology, t_h, t_u, all_sizes=True):
+            expected = four_rank_leak(*oracle_maps(s, pat, 1), s.field.q)
+            assert rank_leak(s, pat) == expected, (case, pat)
+            leaks += expected > 0
+    assert leaks > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([g for g in ORACLE_GRID if g[2] == 1]),
+       st.sampled_from(["clean", "keyless", "random"]), st.data())
+def test_rank_leak_equals_oracle_value(grid, key_map, data):
+    # not only zero against nonzero: the two routes give the same number
+    k, q, _ = grid
+    s = build_scheme_a(build_cyclic(k, 1), PrimeField(q), seed=1)
+    if key_map == "keyless":
+        s = keyless(s)
+    elif key_map == "random":
+        s = with_key_map(s, small_matrix(data, q, s.key_map.rows, s.key_map.cols))
+    pat = data.draw(st.sampled_from(list(iter_patterns(s.topology, k, k, all_sizes=True))))
+    assert rank_leak(s, pat) == mi_oracle(s, pat).mi_value
