@@ -158,9 +158,11 @@ def parse_config(d: dict) -> RunConfig:
     if seed < 0:
         raise ConfigError("seed must be nonnegative")
     caps = _object(d.get("caps", {}), "caps")
+    enumeration_cap = _int(caps, "enumeration", "caps", default=DEFAULT_ENUMERATION_CAP)
     sweep_budget = _int(caps, "sweep_budget", "caps", default=DEFAULT_SWEEP_BUDGET)
-    if sweep_budget < 1:
-        raise ConfigError("caps.sweep_budget must be at least 1")
+    for key, value in (("enumeration", enumeration_cap), ("sweep_budget", sweep_budget)):
+        if value < 1:
+            raise ConfigError(f"caps.{key} must be at least 1")
     outputs = _object(d.get("outputs", {}), "outputs")
     return RunConfig(
         raw=d,
@@ -173,7 +175,7 @@ def parse_config(d: dict) -> RunConfig:
         t_u=t_u,
         block_width=width,
         seed=seed,
-        enumeration_cap=_int(caps, "enumeration", "caps", default=DEFAULT_ENUMERATION_CAP),
+        enumeration_cap=enumeration_cap,
         sweep_budget=sweep_budget,
         outputs=outputs,
     )
@@ -192,9 +194,12 @@ def dump_json(obj: dict, path: Optional[str]):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def build_scheme(cfg: RunConfig) -> Scheme:

@@ -1,6 +1,8 @@
 """Exact arithmetic over prime fields F_q and dense linear algebra on top of it.
 
-Matrices are stored as numpy int64 arrays of residues in [0, q).  All
+Matrices are read-only numpy int64 arrays of residues in [0, q).  Validate at
+the edge, trust inside: the public FieldMatrix constructor copies, checks and
+reduces its input; the results built here are wrapped without a copy.  All
 operations are exact: products route through an overflow-safe path and row
 reduction uses deterministic pivoting (leftmost nonzero column, first row
 with a nonzero entry), so reduced forms are reproducible across runs.
@@ -68,15 +70,6 @@ class PrimeField:
         if self.q > _MAX_Q:
             raise InvalidArgument(f"modulus {self.q} exceeds the 2**31 limit")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
     def neg(self, a: int) -> int:
         return (-a) % self.q
 
@@ -92,9 +85,6 @@ class PrimeField:
             old_r, r = r, old_r - quo * r
             old_t, t = t, old_t - quo * t
         return old_t % self.q
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.q, e, self.q)
 
     def rand(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.q, size=size, dtype=np.int64)
@@ -117,6 +107,15 @@ class FieldMatrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", arr)
 
+    @classmethod
+    def _wrap(cls, field: PrimeField, arr: np.ndarray) -> "FieldMatrix":
+        """No-copy constructor: arr is 2-d int64, reduced mod q, never written again."""
+        arr.flags.writeable = False
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "a", arr)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("FieldMatrix is immutable")
 
@@ -132,16 +131,16 @@ class FieldMatrix:
 
     @property
     def T(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.a.T)
+        return FieldMatrix._wrap(self.field, self.a.T)
 
     def row(self, r: int) -> np.ndarray:
         return self.a[r]
 
     def take_rows(self, idx: Sequence[int]) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.a[list(idx), :])
+        return FieldMatrix._wrap(self.field, self.a[list(idx), :])
 
     def take_cols(self, idx: Sequence[int]) -> "FieldMatrix":
-        return FieldMatrix(self.field, self.a[:, list(idx)])
+        return FieldMatrix._wrap(self.field, self.a[:, list(idx)])
 
     def tolist(self) -> list[list[int]]:
         return self.a.tolist()
@@ -173,25 +172,19 @@ class FieldMatrix:
         self._check_same_field(other)
         if self.a.shape != other.a.shape:
             raise ShapeError(f"shape mismatch {self.a.shape} + {other.a.shape}")
-        return FieldMatrix(self.field, (self.a + other.a) % self.field.q)
+        return FieldMatrix._wrap(self.field, (self.a + other.a) % self.field.q)
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if self.a.shape != other.a.shape:
-            raise ShapeError(f"shape mismatch {self.a.shape} - {other.a.shape}")
-        return FieldMatrix(self.field, (self.a - other.a) % self.field.q)
+        return self + (-other)
 
     def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(self.field, (-self.a) % self.field.q)
-
-    def scale(self, c: int) -> "FieldMatrix":
-        return FieldMatrix(self.field, (self.a * (c % self.field.q)) % self.field.q)
+        return FieldMatrix._wrap(self.field, (-self.a) % self.field.q)
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.a.shape} by {other.a.shape}")
-        return FieldMatrix(self.field, _matmul(self.a, other.a, self.field.q))
+        return FieldMatrix._wrap(self.field, _matmul(self.a, other.a, self.field.q))
 
     # -- linear algebra ----------------------------------------------------
 
@@ -212,19 +205,7 @@ class FieldMatrix:
         red, pivots = _rref(aug, self.field)
         if pivots != list(range(n)):
             raise SingularMatrix(f"matrix of rank {len(pivots)} < {n} has no inverse")
-        return FieldMatrix(self.field, red[:, n:])
-
-    def right_nullspace(self) -> "FieldMatrix":
-        """Basis of {x : M x = 0} as columns; width equals cols - rank."""
-        red, pivots = _rref(self.a, self.field)
-        q = self.field.q
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = np.zeros((self.cols, len(free)), dtype=np.int64)
-        for k, f in enumerate(free):
-            basis[f, k] = 1
-            for r, p in enumerate(pivots):
-                basis[p, k] = (-red[r, f]) % q
-        return FieldMatrix(self.field, basis)
+        return FieldMatrix._wrap(self.field, red[:, n:])
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -234,13 +215,12 @@ def _matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     # int64 products are exact as long as the accumulated dot cannot overflow
     if (q - 1) * (q - 1) * inner <= _INT64_MAX:
         return (a @ b) % q
-    exact = (a.astype(object) @ b.astype(object)) % q
-    return np.array(exact.tolist(), dtype=np.int64)
+    return ((a.astype(object) @ b.astype(object)) % q).astype(np.int64)
 
 
 def _rref(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[int]]:
     q = field.q
-    m = a % q  # a fresh array: the caller's stays untouched
+    m = a.copy()  # the caller's array stays untouched
     rows, cols = m.shape
     pivots: list[int] = []
     r = 0
@@ -266,26 +246,22 @@ def _rref(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[int]]:
 # -- constructors ------------------------------------------------------------
 
 
-def matrix(field: PrimeField, entries) -> FieldMatrix:
-    return FieldMatrix(field, entries)
-
-
 def zeros(field: PrimeField, rows: int, cols: int) -> FieldMatrix:
-    return FieldMatrix(field, np.zeros((rows, cols), dtype=np.int64))
+    return FieldMatrix._wrap(field, np.zeros((rows, cols), dtype=np.int64))
 
 
 def identity(field: PrimeField, n: int) -> FieldMatrix:
-    return FieldMatrix(field, np.eye(n, dtype=np.int64))
+    return FieldMatrix._wrap(field, np.eye(n, dtype=np.int64))
 
 
 def hstack(mats: Iterable[FieldMatrix]) -> FieldMatrix:
     mats = list(mats)
-    return FieldMatrix(mats[0].field, np.hstack([m.a for m in mats]))
+    return FieldMatrix._wrap(mats[0].field, np.hstack([m.a for m in mats]))
 
 
 def vstack(mats: Iterable[FieldMatrix]) -> FieldMatrix:
     mats = list(mats)
-    return FieldMatrix(mats[0].field, np.vstack([m.a for m in mats]))
+    return FieldMatrix._wrap(mats[0].field, np.vstack([m.a for m in mats]))
 
 
 # -- structured matrices ------------------------------------------------------

@@ -84,11 +84,11 @@ def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
     for r, (i, j) in enumerate(labels):
         c_w[r, (i - 1) * n:i * n] = s.encoders[i - 1].a[s.link_pos(i, j), :]
     c_r = s.link_keys.a[:, [s.link_index(i, j) for i, j in labels]].T
-    return LinearView(c_w=FieldMatrix(s.field, c_w), c_r=FieldMatrix(s.field, c_r),
+    return LinearView(c_w=FieldMatrix._wrap(s.field, c_w), c_r=FieldMatrix._wrap(s.field, c_r),
                       row_labels=tuple(labels))
 
 
-def _known_rows(s: Scheme, input_users: Iterable[int], key_users: Iterable[int]) -> FieldMatrix:
+def _known_rows(s: Scheme, input_users: Iterable[int], key_users: Iterable[int]) -> np.ndarray:
     """Coefficients of (inputs of input_users, keys of key_users)."""
     n, n_w = s.topology.n, s.topology.N * s.topology.n
     input_cols = [(i - 1) * n + p for i in input_users for p in range(n)]
@@ -98,7 +98,7 @@ def _known_rows(s: Scheme, input_users: Iterable[int], key_users: Iterable[int])
     rows[range(len(input_cols)), input_cols] = 1
     if keys:
         rows[len(input_cols):, n_w:] = np.vstack(keys)
-    return FieldMatrix(s.field, rows)
+    return rows
 
 
 def rank_leak(s: Scheme, p: CollusionPattern) -> int:
@@ -111,10 +111,11 @@ def rank_leak(s: Scheme, p: CollusionPattern) -> int:
     rank([V_w on the free users' inputs | V_s ; 0 | K_c]) - rank([V_s ; K_c]).
     """
     n, n_w = s.topology.n, s.topology.N * s.topology.n
-    stack = gf.vstack([adversary_view(s, p).coefficients, _known_rows(s, (), p.users)])
-    seeds = list(range(n_w, stack.cols))
+    stack = np.vstack([adversary_view(s, p).coefficients.a, _known_rows(s, (), p.users)])
+    seeds = list(range(n_w, stack.shape[1]))
     free = [c for c in range(n_w) if c // n + 1 not in p.users]
-    return stack.take_cols(free + seeds).rank() - stack.take_cols(seeds).rank()
+    return (FieldMatrix._wrap(s.field, stack[:, free + seeds]).rank()
+            - FieldMatrix._wrap(s.field, stack[:, seeds]).rank())
 
 
 def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
@@ -282,9 +283,9 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     if total > cap:
         raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
 
-    u_mat = _expand_for_width(_known_rows(s, range(1, s.topology.N + 1), ()).a, width)
+    u_mat = _expand_for_width(_known_rows(s, range(1, s.topology.N + 1), ()), width)
     v_mat = _expand_for_width(adversary_view(s, p).coefficients.a, width)
-    c_mat = _expand_for_width(_known_rows(s, p.users, p.users).a, width)
+    c_mat = _expand_for_width(_known_rows(s, p.users, p.users), width)
 
     c_image = _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), c_mat, q)
     uc_image = _fold(c_image, u_mat, q)
@@ -320,9 +321,9 @@ def _simulate_columns(s: Scheme, columns: np.ndarray) -> bool:
     """Run one batched round where each column is an independent assignment."""
     top = s.topology
     n_w = top.N * top.n
-    inputs = [FieldMatrix(s.field, columns[(i - 1) * top.n:i * top.n, :])
+    inputs = [FieldMatrix._wrap(s.field, columns[(i - 1) * top.n:i * top.n, :])
               for i in range(1, top.N + 1)]
-    keys = derive_user_keys(s, FieldMatrix(s.field, columns[n_w:, :]))
+    keys = derive_user_keys(s, FieldMatrix._wrap(s.field, columns[n_w:, :]))
     return not run_round(s, inputs, keys=keys).mismatch
 
 
@@ -533,4 +534,4 @@ def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> Convers
 
 
 def _expand_width_matrix(field: PrimeField, mat: np.ndarray, width: int) -> FieldMatrix:
-    return FieldMatrix(field, _expand_for_width(mat, width))
+    return FieldMatrix._wrap(field, _expand_for_width(mat, width))

@@ -356,19 +356,38 @@ def test_scheme_file_values_exit_2(tmp_path, capsys, path, edit):
 @pytest.mark.parametrize("overrides", [
     {"caps": {"sweep_budget": 0}},
     {"caps": {"sweep_budget": -5}},
+    {"caps": {"enumeration": 0}},
+    {"caps": {"enumeration": -1}},
     {"seed": -1},
     {"topology": {"K": 3.7}},
     {"topology": {"n": True}},
     {"topology": {"n": 0}},
-], ids=["sweep_budget 0", "sweep_budget -5", "seed -1", "K 3.7", "n true", "n 0"])
+], ids=["sweep_budget 0", "sweep_budget -5", "enumeration 0", "enumeration -1", "seed -1",
+        "K 3.7", "n true", "n 0"])
 def test_invalid_values_exit_2_before_any_work(tmp_path, capsys, overrides, command):
-    # a budget below 1 would certify a scheme without checking a single pattern
+    # a budget or cap below 1 would certify a scheme without checking a single pattern
     cfg = write_config(tmp_path, field_q=3, **overrides)
     out = tmp_path / "out.json"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "build", "report", "simulate"])
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, target):
+    cfg = write_config(tmp_path, field_q=3)
+    argv = [command, "--config", str(cfg)]
+    if command == "simulate":
+        scheme_path = tmp_path / "scheme.json"
+        assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
+        argv += ["--scheme", str(scheme_path)]
+    out = tmp_path / "missing" / "out.json" if target == "missing directory" else tmp_path
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write") and err.count("\n") == 1, err
 
 
 def test_integral_values_in_any_json_form_accepted(tmp_path):

@@ -338,6 +338,33 @@ def test_converse_spot_checks_example():
     assert checks.sum_meets_bound
 
 
+# the oracle workload's triangle configs, one clean and one leaking
+TRIANGLES = [lambda: build_scheme_a(build_cyclic(3, 2), F3, seed=0),
+             lambda: build_scheme_c(3, F5)]
+
+
+def oracle_values(s):
+    patterns = iter_patterns(s.topology, 1, 1, all_sizes=True)
+    return ([mi_oracle(s, pat) for pat in patterns],
+            cond_entropy_enumerated(s.link_keys.T, s.user_key_map(1).T),
+            converse_spot_checks(s))
+
+
+def test_oracle_stays_off_the_rank_path(monkeypatch):
+    # build first (construction inverts matrices), then forbid every elimination
+    schemes = [build() for build in TRIANGLES]
+    expected = [oracle_values(build()) for build in TRIANGLES]
+    assert any(not res.is_zero for res in expected[1][0])
+
+    def no_elimination(*args):
+        raise AssertionError("the oracle reached gf._rref")
+
+    monkeypatch.setattr(gf, "_rref", no_elimination)
+    with pytest.raises(AssertionError):
+        schemes[0].key_map.rank()
+    assert [oracle_values(s) for s in schemes] == expected
+
+
 # -- enumeration engine vs the per-state reference ----------------------------------
 
 
