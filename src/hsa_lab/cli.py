@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -190,6 +191,14 @@ def load_config(path: str) -> RunConfig:
     return parse_config(d)
 
 
+def _output_path(path) -> Optional[str]:
+    """path (None: stdout), checked before any work to name a file in an existing directory."""
+    if path is not None and not (isinstance(path, str) and path and not os.path.isdir(path)
+                                 and os.path.isdir(os.path.dirname(path) or ".")):
+        raise ConfigError(f"cannot write {path!r}: not a file in an existing directory")
+    return path
+
+
 def dump_json(obj: dict, path: Optional[str]):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path is None:
@@ -307,11 +316,10 @@ def _comparison_rows(achieved, lower: bounds_mod.BoundsReport) -> list[dict]:
     return rows
 
 
-def _converse_block(cfg: RunConfig, scheme: Scheme) -> Optional[dict]:
-    # the enumerated key identities are guaranteed only for two-regular
-    # cyclic networks at maximal feasible user collusion
-    top = cfg.topology
-    if not (top.N == top.K and top.n == 2 and cfg.t_h == 1 and cfg.t_u == top.N - 2):
+def _converse_block(cfg: RunConfig, scheme: Scheme,
+                    lower: bounds_mod.BoundsReport) -> Optional[dict]:
+    # the enumerated key identities are guaranteed only in the bounds' special case
+    if lower.special_case != bounds_mod.SPECIAL_CASE_PAIR_CYCLIC:
         return None
     states = cfg.field.q ** (scheme.seed_count * cfg.block_width)
     if states > cfg.enumeration_cap:
@@ -337,7 +345,7 @@ def report_document(cfg: RunConfig, all_sizes: Optional[bool]) -> tuple[dict, bo
     doc["comparison"] = _comparison_rows(achieved, lower)
     blocks, ok = verify_blocks(cfg, scheme, all_sizes)
     doc.update(blocks)
-    conv = _converse_block(cfg, scheme)
+    conv = _converse_block(cfg, scheme, lower)
     if conv is not None:
         doc["converse"] = conv
     defect = any(row["status"] == "defect" for row in doc["comparison"])
@@ -351,8 +359,9 @@ def report_document(cfg: RunConfig, all_sizes: Optional[bool]) -> tuple[dict, bo
 
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
+    out = _output_path(args.out)
     frag = bounds_fragment(cfg, bounds_mod.bounds_report(cfg.topology, cfg.t_h, cfg.t_u))
-    dump_json(frag, args.out)
+    dump_json(frag, out)
     if args.expect_feasible and frag["feasibility"]["verdict"] != "feasible":
         return _EXIT_VERIFICATION
     return _EXIT_OK
@@ -360,11 +369,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_build(args) -> int:
     cfg = load_config(args.config)
-    scheme = build_scheme(cfg)
-    out = args.out or cfg.outputs.get("scheme")
+    out = _output_path(args.out or cfg.outputs.get("scheme"))
     if out is None:
         raise ConfigError("no output path: pass --out or set outputs.scheme")
-    dump_json(scheme.to_dict(), out)
+    dump_json(build_scheme(cfg).to_dict(), out)
     return _EXIT_OK
 
 
@@ -385,17 +393,19 @@ def _load_scheme_for(cfg: RunConfig, path: str) -> Scheme:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
+    out = _output_path(args.out)
     scheme = _load_scheme_for(cfg, args.scheme)
     all_sizes = True if args.all_sizes else None
     blocks, ok = verify_blocks(cfg, scheme, all_sizes)
     doc = {"schema": REPORT_SCHEMA, "config": cfg.echo(),
            "verdict": "pass" if ok else "fail", **blocks}
-    dump_json(doc, args.out)
+    dump_json(doc, out)
     return _EXIT_OK if ok else _EXIT_VERIFICATION
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
+    out = _output_path(args.out or cfg.outputs.get("transcript"))
     scheme = _load_scheme_for(cfg, args.scheme)
     rng = np.random.default_rng(cfg.seed)
     inputs = [FieldMatrix(cfg.field, cfg.field.rand(rng, (cfg.topology.n, cfg.block_width)))
@@ -403,7 +413,6 @@ def cmd_simulate(args) -> int:
     transcript = run_round(scheme, inputs, width=cfg.block_width, seed=cfg.seed)
     doc = transcript.to_dict()
     doc["direct_sum"] = direct_sum(scheme, inputs).tolist()
-    out = args.out or cfg.outputs.get("transcript")
     dump_json(doc, out)
     print(f"decoded == direct sum: {not transcript.mismatch}", file=sys.stderr)
     return _EXIT_OK if not transcript.mismatch else _EXIT_VERIFICATION
@@ -411,9 +420,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = load_config(args.config)
+    out = _output_path(args.out or cfg.outputs.get("report"))
     all_sizes = True if args.all_sizes else None
     doc, ok = report_document(cfg, all_sizes)
-    out = args.out or cfg.outputs.get("report")
     dump_json(doc, out)
     return _EXIT_OK if ok else _EXIT_VERIFICATION
 

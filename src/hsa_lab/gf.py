@@ -74,17 +74,10 @@ class PrimeField:
         return (-a) % self.q
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via the extended Euclidean algorithm."""
-        a = a % self.q
-        if a == 0:
+        """Multiplicative inverse, by Python's modular pow."""
+        if a % self.q == 0:
             raise DivisionByZero(f"0 has no inverse in F_{self.q}")
-        old_r, r = self.q, a
-        old_t, t = 0, 1
-        while r != 0:
-            quo = old_r // r
-            old_r, r = r, old_r - quo * r
-            old_t, t = t, old_t - quo * t
-        return old_t % self.q
+        return pow(int(a), -1, self.q)
 
     def rand(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.integers(0, self.q, size=size, dtype=np.int64)
@@ -209,11 +202,8 @@ class FieldMatrix:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     # int64 products are exact as long as the accumulated dot cannot overflow
-    if (q - 1) * (q - 1) * inner <= _INT64_MAX:
+    if (q - 1) * (q - 1) * a.shape[1] <= _INT64_MAX:
         return (a @ b) % q
     return ((a.astype(object) @ b.astype(object)) % q).astype(np.int64)
 
@@ -339,6 +329,11 @@ def mds_check(m: FieldMatrix) -> bool:
         if m.take_cols(sel).rank() < m.rows:
             return False
     return True
+
+
+def pivots(m: FieldMatrix) -> list[int]:
+    """Pivot columns of m's reduced echelon form; those below k number rank(m[:, :k])."""
+    return _rref(m.a, m.field)[1]
 
 
 def root_of_unity(field: PrimeField, t: int) -> int:

@@ -14,7 +14,7 @@ each output symbol only over the variables in that row's support, read off
 the row's nonzero coefficients.  That needs no elimination, so the oracle
 still makes no rank calls, and a map's count over all states is its count
 over its support times q for every variable outside it.  The rank route
-works on the quotient by the colluders' known inputs: two ranks per pattern.
+works on the quotient by the colluders' known inputs: one reduction per pattern.
 """
 
 from __future__ import annotations
@@ -102,20 +102,21 @@ def _known_rows(s: Scheme, input_users: Iterable[int], key_users: Iterable[int])
 
 
 def rank_leak(s: Scheme, p: CollusionPattern) -> int:
-    """Exact mutual information (log_q units per block column) via ranks.
+    """Exact mutual information (log_q units per block column) via one reduction.
 
     I(inputs; view | colluders' data) for linear maps of uniform seeds.  A
     known input is a unit row on a column no other row conditions on, so it
     adds 1 to every rank and clears its column; with V = [V_w | V_s] the view
     and K_c the colluders' key rows, the leak comes down to
-    rank([V_w on the free users' inputs | V_s ; 0 | K_c]) - rank([V_s ; K_c]).
+    rank([V_s | V_w on the free users' inputs ; K_c | 0]) - rank([V_s ; K_c]),
+    which is the number of pivots past the seed columns.
     """
     n, n_w = s.topology.n, s.topology.N * s.topology.n
     stack = np.vstack([adversary_view(s, p).coefficients.a, _known_rows(s, (), p.users)])
     seeds = list(range(n_w, stack.shape[1]))
     free = [c for c in range(n_w) if c // n + 1 not in p.users]
-    return (FieldMatrix._wrap(s.field, stack[:, free + seeds]).rank()
-            - FieldMatrix._wrap(s.field, stack[:, seeds]).rank())
+    pivots = gf.pivots(FieldMatrix._wrap(s.field, stack[:, seeds + free]))
+    return sum(c >= len(seeds) for c in pivots)
 
 
 def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
@@ -156,8 +157,6 @@ def check_key_space_disjoint(s: Scheme, p: CollusionPattern) -> bool:
 # (ranks, n): ranks labels the map's value at each grid state with 0..n-1 and
 # has length-1 axes for the variables outside the map's support.
 
-_TABLE_FACTOR = 1  # a lookup table has at most this many entries per grid state
-
 
 def _assignments(q: int, n_vars: int) -> Iterator[np.ndarray]:
     """All q**n_vars assignments, yielded as chunks of rows."""
@@ -178,14 +177,10 @@ def _expand_for_width(mat: np.ndarray, width: int) -> np.ndarray:
 def _dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
     """Relabel keys in [0, size) as 0..n-1 in key order; returns (ranks, n).
 
-    Uses a lookup table while size is at most _TABLE_FACTOR per key (which
-    _fold keeps true for linear maps), and sorting beyond that.
+    The table never outgrows keys: _fold keeps the key range within the cell
+    count, since a linear image with fewer classes than cells has at most cells/q.
     """
-    flat = keys.ravel()
-    if size > _TABLE_FACTOR * flat.size:
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        return inverse.reshape(keys.shape), uniq.size
-    present = np.flatnonzero(np.bincount(flat, minlength=size))
+    present = np.flatnonzero(np.bincount(keys.ravel(), minlength=size))
     lut = np.zeros(size, dtype=np.int64)
     lut[present] = np.arange(present.size)
     return lut[keys], present.size
@@ -220,7 +215,7 @@ def _fold(image: tuple[np.ndarray, int], mat: np.ndarray, q: int) -> tuple[np.nd
             continue
         sym = _row_symbols(row, q, keys.ndim)
         cells = math.prod(np.broadcast_shapes(keys.shape, sym.shape))
-        if n * q > _TABLE_FACTOR * cells:
+        if n * q > cells:
             keys, n = _dense_ranks(keys, n)
             if n == cells:  # every class is one cell of the grid: nothing to split
                 continue

@@ -107,7 +107,11 @@ def brute_mutual_information(u, v, c, q: int) -> Fraction:
 
 
 def brute_rank(mat, q: int) -> int:
-    """Rank over F_q by Gauss-Jordan elimination, one pivot column at a time."""
+    """Rank over F_q by fraction-free row echelon elimination, with no inverses.
+
+    Each row below the pivot becomes pivot * row - row[col] * pivot_row; both
+    products stay below q**2 <= 2**62, so int64 is exact for every q < 2**31.
+    """
     m = np.asarray(mat, dtype=np.int64) % q
     rank = 0
     for col in range(m.shape[1]):
@@ -115,9 +119,8 @@ def brute_rank(mat, q: int) -> int:
         if pivots.size == 0:
             continue
         m[[rank, rank + pivots[0]]] = m[[rank + pivots[0], rank]]
-        m[rank] = m[rank] * brute_inverse(int(m[rank, col]), q) % q
-        others = np.arange(m.shape[0]) != rank
-        m[others] = (m[others] - np.outer(m[others, col], m[rank])) % q
+        below = slice(rank + 1, None)
+        m[below] = (m[below] * m[rank, col] - np.outer(m[below, col], m[rank])) % q
         rank += 1
         if rank == m.shape[0]:
             break

@@ -390,6 +390,47 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, target):
     assert err.startswith("configuration error: cannot write") and err.count("\n") == 1, err
 
 
+# the function each command hands its work to, as the command looks it up
+WORK = {"bounds": "hsa_lab.bounds.bounds_report", "build": "hsa_lab.cli.build_scheme",
+        "report": "hsa_lab.cli.report_document", "verify": "hsa_lab.cli.verify_blocks",
+        "simulate": "hsa_lab.cli.run_round"}
+
+
+@pytest.mark.parametrize("command,target", [
+    ("build", "none"),
+    *((c, t) for c in WORK for t in ("missing directory", "directory")),
+])
+def test_output_path_checked_before_any_work(tmp_path, capsys, monkeypatch, command, target):
+    cfg = write_config(tmp_path, field_q=3)
+    argv = [command, "--config", str(cfg)]
+    if command in ("verify", "simulate"):
+        scheme_path = tmp_path / "scheme.json"
+        assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
+        argv += ["--scheme", str(scheme_path)]
+    if target != "none":
+        out = tmp_path / "missing" / "out.json" if target == "missing directory" else tmp_path
+        argv += ["--out", str(out)]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{command} started its work")
+
+    monkeypatch.setattr(WORK[command], unreachable)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("path", [1, "", ["x.json"]], ids=["fd 1", "empty", "list"])
+def test_outputs_entry_must_be_a_file_name(tmp_path, capsys, monkeypatch, path):
+    # a number would be opened as a file descriptor: 1 wrote the scheme to stdout
+    cfg = write_config(tmp_path, field_q=3, outputs={"scheme": path})
+    monkeypatch.setattr(WORK["build"], lambda cfg: pytest.fail("build started its work"))
+    assert main(["build", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("configuration error: cannot write")
+
+
 def test_integral_values_in_any_json_form_accepted(tmp_path):
     paths = []
     for q in (5, 5.0, "5"):

@@ -56,6 +56,7 @@ def test_inverse_property(q, a):
     if a == 0:
         a = 1
     assert a * field.inv(a) % q == 1
+    assert field.inv(np.int64(a)) == brute_inverse(a, q)
 
 
 # -- matrix arithmetic -----------------------------------------------------------
@@ -194,6 +195,27 @@ def test_internal_results_meet_the_edge_contract(q, r, c, k, data):
         assert ((m.a >= 0) & (m.a < q)).all()
         assert not m.a.flags.writeable
         assert m == FieldMatrix(field, m.a)
+
+
+@pytest.mark.parametrize("q", INVARIANT_PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 5), st.sampled_from(["random", "deficient", "zero"]),
+       st.data())
+def test_pivots_count_the_rank_of_every_leading_block(q, r, c, kind, data):
+    # rank_leak reads rank(m) - rank(m[:, :k]) off a single pivot list
+    field = PrimeField(q)
+    if kind == "random":
+        m = drawn_matrix(data, field, r, c)
+    elif kind == "deficient":
+        inner = data.draw(st.integers(0, max(min(r, c) - 1, 0)))
+        m = drawn_matrix(data, field, r, inner) @ drawn_matrix(data, field, inner, c)
+    else:
+        m = gf.zeros(field, r, c)
+    pivots = gf.pivots(m)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    assert len(pivots) == brute_rank(m.a, q)
+    for k in range(c + 1):
+        assert sum(p < k for p in pivots) == brute_rank(m.a[:, :k], q), k
 
 
 @given(st.sampled_from(INVARIANT_PRIMES),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsa_lab import gf, verify
+from hsa_lab import gf
 from hsa_lab.errors import InvalidArgument, TooLargeToEnumerate
 from hsa_lab.gf import FieldMatrix, PrimeField
 from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme_c
@@ -421,16 +421,13 @@ def test_mi_oracle_matches_reference(grid, key_map, data):
     assert res.states == q ** ((k + s.seed_count) * width)
 
 
-def test_engine_sort_fallback_matches_reference():
-    # with no room for lookup tables every dense ranking goes through np.unique
+def test_engine_matches_reference_on_a_leak_and_random_maps():
     rng = np.random.default_rng(11)
     s = keyless(build_scheme_a(build_cyclic(3, 1), F5, seed=0))
     pat = CollusionPattern([1], [2])
     a, b = rng.integers(0, 7, (3, 4)), rng.integers(0, 7, (2, 4))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_TABLE_FACTOR", 0)
-        leak = mi_oracle(s, pat)
-        h = cond_entropy_enumerated(FieldMatrix(F7, a), FieldMatrix(F7, b))
+    leak = mi_oracle(s, pat)
+    h = cond_entropy_enumerated(FieldMatrix(F7, a), FieldMatrix(F7, b))
     assert leak.mi_value == brute_mutual_information(*oracle_maps(s, pat, 1), 5) > 0
     assert h == brute_cond_entropy(a, b, 7)
 
