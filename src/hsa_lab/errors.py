@@ -42,11 +42,16 @@ class InfeasibleParameters(HsaLabError):
 
 
 class ConstructionFailed(HsaLabError):
-    """Randomized construction exhausted its resampling budget."""
+    """Randomized construction exhausted its resampling budget.
 
-    def __init__(self, message: str, attempts: int = 0):
+    rejections counts the rejected candidates by the check that rejected them.
+    """
+
+    def __init__(self, message: str, attempts: int = 0,
+                 rejections: dict[str, int] | None = None):
         super().__init__(message)
         self.attempts = attempts
+        self.rejections = {} if rejections is None else rejections
 
 
 class ProtocolViolation(HsaLabError):

@@ -3,15 +3,19 @@
 Matrices are read-only numpy int64 arrays of residues in [0, q).  Validate at
 the edge, trust inside: the public FieldMatrix constructor copies, checks and
 reduces its input; the results built here are wrapped without a copy.  All
-operations are exact: products route through an overflow-safe path and row
-reduction uses deterministic pivoting (leftmost nonzero column, first row
-with a nonzero entry), so reduced forms are reproducible across runs.
+operations are exact: products route through an overflow-safe path, and
+elimination pivots deterministically (leftmost nonzero column, first row with
+a nonzero entry at or below the row pointer).  Ranks, pivot lists and minor
+checks use fraction-free forward elimination, which needs no inverses: a row
+below the pivot becomes pivot * row - entry * pivot_row, exact in int64 since
+q <= 2**31.  A reduced form, and with it a modular inverse per pivot, is built
+only by `inverse`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +31,7 @@ from .errors import (
 
 _MAX_Q = 2**31
 _INT64_MAX = 2**63 - 1
+_MINOR_CHUNK = 4096  # minors judged per batch by mds_check
 
 
 def is_prime(n: int) -> bool:
@@ -182,7 +187,7 @@ class FieldMatrix:
     # -- linear algebra ----------------------------------------------------
 
     def rank(self) -> int:
-        return len(_rref(self.a, self.field)[1])
+        return len(_echelon_pivots(self.a, self.field.q))
 
     def inverse(self) -> "FieldMatrix":
         """Inverse of a square nonsingular matrix (Gauss-Jordan).
@@ -206,6 +211,55 @@ def _matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if (q - 1) * (q - 1) * a.shape[1] <= _INT64_MAX:
         return (a @ b) % q
     return ((a.astype(object) @ b.astype(object)) % q).astype(np.int64)
+
+
+def _echelon_pivots(a: np.ndarray, q: int) -> list[int]:
+    """Pivot columns of a's row echelon form, by fraction-free forward elimination."""
+    m = a.copy()  # the caller's array stays untouched
+    rows, cols = m.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        # a column of a dozen rows is scanned faster as a list than by numpy
+        col = m[r:, c].tolist()
+        nz = [i for i, v in enumerate(col) if v]
+        if not nz:
+            continue
+        p = r + nz[0]
+        if p != r:
+            m[r], m[p] = m[p], m[r].copy()
+        if len(nz) > 1:  # after the swap, row p holds a zero in column c
+            below = [r + i for i in nz[1:]]
+            m[below, c + 1:] = (col[nz[0]] * m[below, c + 1:]
+                                - np.outer(m[below, c], m[r, c + 1:])) % q
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _all_nonsingular(stack: np.ndarray, q: int) -> bool:
+    """True iff every matrix of the (B, n, n) stack is nonsingular.
+
+    Eliminates all B matrices in lockstep, fraction-free: at step k each one
+    needs a nonzero at or below row k in column k, and the first matrix
+    without one ends the check.
+    """
+    m = stack.copy()
+    b, n, _ = m.shape
+    batch = np.arange(b)
+    for k in range(n):
+        nz = m[:, k:, k] != 0
+        if not nz.any(axis=1).all():
+            return False
+        p = k + nz.argmax(axis=1)
+        pivot_rows = m[batch, p]
+        m[batch, p] = m[:, k]
+        m[:, k] = pivot_rows
+        m[:, k + 1:, k + 1:] = (pivot_rows[:, k, None, None] * m[:, k + 1:, k + 1:]
+                                - m[:, k + 1:, k, None] * pivot_rows[:, None, k + 1:]) % q
+    return True
 
 
 def _rref(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[int]]:
@@ -315,8 +369,9 @@ def vandermonde(points: Sequence[int], n_rows: int, field: PrimeField) -> FieldM
 def mds_check(m: FieldMatrix) -> bool:
     """True iff every rows x rows column-submatrix is nonsingular.
 
-    Exhaustive over all C(cols, rows) column choices; intended for the small
-    matrices this package builds (at most a few dozen columns).
+    Exhaustive over all C(cols, rows) column choices, judged a batch of minors
+    at a time; intended for the small matrices this package builds (at most a
+    few dozen columns).
 
     Raises:
         ShapeError: if rows > cols.
@@ -325,15 +380,17 @@ def mds_check(m: FieldMatrix) -> bool:
         raise ShapeError(f"mds_check needs rows <= cols, got {m.rows}x{m.cols}")
     if m.rows == 0:
         return True
-    for sel in combinations(range(m.cols), m.rows):
-        if m.take_cols(sel).rank() < m.rows:
+    combos = combinations(range(m.cols), m.rows)
+    while chunk := list(islice(combos, _MINOR_CHUNK)):
+        # minors[b, i, j] = m[i, chunk[b][j]]
+        if not _all_nonsingular(m.a[:, chunk].transpose(1, 0, 2), m.field.q):
             return False
     return True
 
 
 def pivots(m: FieldMatrix) -> list[int]:
-    """Pivot columns of m's reduced echelon form; those below k number rank(m[:, :k])."""
-    return _rref(m.a, m.field)[1]
+    """Pivot columns of m's row echelon form; those below k number rank(m[:, :k])."""
+    return _echelon_pivots(m.a, m.field.q)
 
 
 def root_of_unity(field: PrimeField, t: int) -> int:

@@ -48,6 +48,11 @@ VARIANT_WEIGHTED = "BL"
 
 _SCHEME_SCHEMA = "hsa-lab/scheme/1"
 
+# the checks that can reject a build_scheme_b candidate, in the order it runs them
+_B_REJECTIONS = ("Cauchy degenerate", "block sum not MDS", "singular completion",
+                 "null block not MDS", "circulant singular", "decoder not MDS",
+                 "masks do not cancel")
+
 
 @dataclass(frozen=True)
 class Scheme:
@@ -351,7 +356,8 @@ def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
         InfeasibleParameters, InvalidArgument, FieldTooSmall, NoSuchRoot:
             from scheme_b_parameters.
         FieldTooSmall: q cannot host K usable Cauchy parameters.
-        ConstructionFailed: resampling budget exhausted.
+        ConstructionFailed: resampling budget exhausted; its rejections
+            count the candidates each check rejected.
     """
     copies, w = scheme_b_parameters(top, field, t_u)
     n, k, big_n, q = top.n, top.K, top.N, field.q
@@ -369,24 +375,29 @@ def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
     if len(pool) < k:
         raise FieldTooSmall(f"only {len(pool)} usable Cauchy parameters over F_{q}, need {k}")
     pool_arr = np.array(pool, dtype=np.int64)
+    rejections = dict.fromkeys(_B_REJECTIONS, 0)
     for attempt in range(1, max_attempts + 1):
         c = [int(v) for v in rng.permutation(pool_arr)[:k]]
         betas = [(c[(j - 1) % k] * pow(w, (j - 1) // k, q)) % q for j in range(1, big_n + 1)]
         try:
             generator = gf.cauchy(alphas, betas, field)
         except CauchyDegenerate:
+            rejections["Cauchy degenerate"] += 1
             continue
         block_sum = FieldMatrix(field, sum(generator.a[:, p * k:(p + 1) * k] for p in range(copies)) % q)
         if not gf.mds_check(block_sum):
+            rejections["block sum not MDS"] += 1
             continue
 
         extra = FieldMatrix(field, rng.integers(0, q, (k - n_seeds, k)))
         try:
             completed_inv = gf.vstack([block_sum, extra]).inverse()
         except SingularMatrix:
+            rejections["singular completion"] += 1
             continue
         null_block = completed_inv.take_cols(range(k - n, k))   # K x n, killed by block_sum
         if not gf.mds_check(null_block.T):
+            rejections["null block not MDS"] += 1
             continue
 
         weights_row = [int(v) for v in rng.integers(1, q, n)] + [0] * (k - n)
@@ -394,9 +405,11 @@ def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
         try:
             base_inv = base_weights.inverse()
         except SingularMatrix:
+            rejections["circulant singular"] += 1
             continue
         decode_matrix = (base_inv @ null_block).T               # weights_1 @ D^T = null_block
         if not gf.mds_check(decode_matrix):
+            rejections["decoder not MDS"] += 1
             continue
 
         key_weights = gf.vstack([base_weights] * copies)        # N x K
@@ -414,10 +427,13 @@ def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
         # holds by construction; mask cancellation is asserted (the
         # nullspace solve enforces it)
         if not link_key_constraint_ok(scheme):  # pragma: no cover
+            rejections["masks do not cancel"] += 1
             continue
         return scheme
+    counts = ", ".join(f"{name} {n}" for name, n in rejections.items() if n) or "none"
     raise ConstructionFailed(
-        f"no valid weighted scheme after {max_attempts} attempts", attempts=max_attempts)
+        f"no valid weighted scheme after {max_attempts} attempts (rejected: {counts})",
+        attempts=max_attempts, rejections=rejections)
 
 
 def build_scheme_c(n_users: int, field: PrimeField) -> Scheme:

@@ -111,12 +111,15 @@ def rank_leak(s: Scheme, p: CollusionPattern) -> int:
     rank([V_s | V_w on the free users' inputs ; K_c | 0]) - rank([V_s ; K_c]),
     which is the number of pivots past the seed columns.
     """
-    n, n_w = s.topology.n, s.topology.N * s.topology.n
-    stack = np.vstack([adversary_view(s, p).coefficients.a, _known_rows(s, (), p.users)])
-    seeds = list(range(n_w, stack.shape[1]))
-    free = [c for c in range(n_w) if c // n + 1 not in p.users]
-    pivots = gf.pivots(FieldMatrix._wrap(s.field, stack[:, seeds + free]))
-    return sum(c >= len(seeds) for c in pivots)
+    view, n, k = adversary_view(s, p), s.topology.n, s.keys_per_user
+    free = [c for c in range(s.topology.N * n) if c // n + 1 not in p.users]
+    keys = s.key_map.a[:, [(i - 1) * k + t for i in p.users for t in range(k)]].T
+    seeds, rows = s.seed_count, view.c_r.rows
+    stack = np.zeros((rows + keys.shape[0], seeds + len(free)), dtype=np.int64)
+    stack[:rows, :seeds] = view.c_r.a
+    stack[:rows, seeds:] = view.c_w.a[:, free]
+    stack[rows:, :seeds] = keys
+    return sum(c >= seeds for c in gf.pivots(FieldMatrix._wrap(s.field, stack)))
 
 
 def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
@@ -367,12 +370,19 @@ def iter_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> Iterator[Collusio
     Security of a maximal pattern does not formally imply security of its
     sub-patterns, hence the lattice option.
     """
+    for relays, users in _pattern_tuples(top, t_h, t_u, all_sizes):
+        yield CollusionPattern(relays, users)
+
+
+def _pattern_tuples(top, t_h: int, t_u: int,
+                    all_sizes: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (relays, users) tuples of iter_patterns, in its order."""
     relay_sizes, user_sizes = _pattern_sizes(t_h, t_u, all_sizes)
     for rs in relay_sizes:
         for us in user_sizes:
             for relays in itertools.combinations(range(1, top.K + 1), rs):
                 for users in itertools.combinations(range(1, top.N + 1), us):
-                    yield CollusionPattern(relays, users)
+                    yield relays, users
 
 
 def count_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> int:
@@ -413,18 +423,19 @@ class SweepReport:
         }
 
 
-def _reservoir(patterns: Iterator[CollusionPattern], budget: int,
+def _reservoir(tuples: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], budget: int,
                seed: int) -> list[CollusionPattern]:
+    """A seeded uniform sample of `budget` patterns; only the kept ones are built."""
     rng = np.random.default_rng(seed)
-    chosen: list[CollusionPattern] = []
-    for k, pat in enumerate(patterns):
+    chosen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for k, pat in enumerate(tuples):
         if k < budget:
             chosen.append(pat)
         else:
             r = int(rng.integers(0, k + 1))
             if r < budget:
                 chosen[r] = pat
-    return chosen
+    return [CollusionPattern(relays, users) for relays, users in chosen]
 
 
 def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
@@ -441,10 +452,12 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
         all_sizes = s.topology.N <= 6 and s.topology.K <= 6
     total = count_patterns(s.topology, t_h, t_u, all_sizes)
     report = SweepReport(method=method, all_sizes=all_sizes, total_patterns=total)
-    patterns: Iterable[CollusionPattern] = iter_patterns(s.topology, t_h, t_u, all_sizes)
     if total > budget:
-        patterns = _reservoir(patterns, budget, seed)
+        patterns: Iterable[CollusionPattern] = _reservoir(
+            _pattern_tuples(s.topology, t_h, t_u, all_sizes), budget, seed)
         report.subsampled = True
+    else:
+        patterns = iter_patterns(s.topology, t_h, t_u, all_sizes)
 
     for pat in patterns:
         report.checked += 1

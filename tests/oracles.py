@@ -136,3 +136,18 @@ def four_rank_leak(u, v, c, q: int) -> int:
     uc = np.vstack([u, c])
     return ((brute_rank(np.vstack([v, c]), q) - brute_rank(c, q))
             - (brute_rank(np.vstack([v, uc]), q) - brute_rank(uc, q)))
+
+
+def reservoir_walk(patterns, budget: int, seed: int) -> list:
+    """The subsampled sweep's sample as first written: a seeded reservoir over
+    every pattern object, built or not."""
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for k, pat in enumerate(patterns):
+        if k < budget:
+            chosen.append(pat)
+        else:
+            r = int(rng.integers(0, k + 1))
+            if r < budget:
+                chosen[r] = pat
+    return chosen

@@ -218,6 +218,28 @@ def test_pivots_count_the_rank_of_every_leading_block(q, r, c, kind, data):
         assert sum(p < k for p in pivots) == brute_rank(m.a[:, :k], q), k
 
 
+@pytest.mark.parametrize("q", INVARIANT_PRIMES)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6),
+       st.sampled_from(["random", "repeated row", "zero row", "zero"]), st.data())
+def test_all_nonsingular_matches_a_rank_per_matrix(q, n, b, kind, data):
+    field = PrimeField(q)
+    stack = np.stack([drawn_matrix(data, field, n, n).a for _ in range(b)])
+    if kind == "zero":
+        stack[:] = 0
+    elif kind != "random":
+        # one member, anywhere in the stack, loses a row
+        member, row = data.draw(st.integers(0, b - 1)), data.draw(st.integers(0, n - 1))
+        if kind == "zero row":
+            stack[member, row] = 0
+        elif n > 1:
+            stack[member, row] = stack[member, (row + data.draw(st.integers(1, n - 1))) % n]
+    expected = all(brute_rank(m, q) == n for m in stack)
+    before = stack.copy()
+    assert gf._all_nonsingular(stack, q) == expected
+    assert np.array_equal(stack, before)
+
+
 @given(st.sampled_from(INVARIANT_PRIMES),
        st.lists(st.integers(-2**40, 2**40), min_size=6, max_size=6))
 @example(5, [-1, 5, 12, -10, 4, 0])
@@ -232,6 +254,14 @@ def test_edge_constructor_reduces_and_copies(q, entries):
 # -- structured matrices -----------------------------------------------------------
 
 
+def test_mds_check_reads_every_chunk_of_minors():
+    # C(100, 2) = 4950 minors span two chunks; the one singular minor comes last
+    f101 = PrimeField(101)
+    assert gf.mds_check(gf.vandermonde(range(100), 2, f101))
+    repeated = gf.hstack([gf.vandermonde(range(99), 2, f101), gf.vandermonde([98], 2, f101)])
+    assert not gf.mds_check(repeated)
+
+
 def test_mds_examples():
     assert gf.mds_check(FieldMatrix(F2, [[1, 0, 1], [0, 1, 1]]))
     with_zero_col = FieldMatrix(F5, [[1, 0, 2], [1, 0, 3]])
@@ -240,6 +270,9 @@ def test_mds_examples():
     assert gf.mds_check(gf.cauchy([1, 2], [3, 4, 5, 6], f11))
     with pytest.raises(ShapeError):
         gf.mds_check(FieldMatrix(F5, [[1], [2]]))
+    assert gf.mds_check(gf.zeros(F5, 0, 3))
+    assert gf.mds_check(FieldMatrix(F5, [[1, 2], [3, 4]]))       # rows = cols: one minor
+    assert not gf.mds_check(FieldMatrix(F5, [[1, 2], [2, 4]]))
 
 
 @settings(max_examples=40)

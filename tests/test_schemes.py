@@ -7,6 +7,7 @@ import pytest
 from hsa_lab import gf
 from hsa_lab.bounds import RateTuple
 from hsa_lab.errors import (
+    ConstructionFailed,
     FieldTooSmall,
     InfeasibleParameters,
     InvalidArgument,
@@ -151,6 +152,16 @@ def test_build_b_hypothesis_violations():
     shifted = build_explicit(3, 3, [[1, 3], [1, 2], [2, 3]])  # not the wrap layout
     with pytest.raises(InfeasibleParameters):
         build_scheme_b(shifted, F13, t_u=0, seed=0)
+
+
+def test_build_b_failure_counts_rejections_by_check():
+    # at q = 101 a random completion of the block sum rarely leaves an MDS null block
+    with pytest.raises(ConstructionFailed) as failure:
+        build_scheme_b(build_cyclic(12, 4), PrimeField(101), t_u=2, seed=0, max_attempts=40)
+    rejections = failure.value.rejections
+    assert sum(rejections.values()) == failure.value.attempts == 40
+    assert max(rejections, key=rejections.get) == "null block not MDS"
+    assert f"null block not MDS {rejections['null block not MDS']}" in str(failure.value)
 
 
 def test_build_b_needs_root_of_unity():

@@ -11,6 +11,8 @@ from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme
 from hsa_lab.topology import build_cyclic, build_multiple_cyclic, build_tree
 from hsa_lab.verify import (
     CollusionPattern,
+    _pattern_tuples,
+    _reservoir,
     adversary_view,
     check_decodability,
     check_key_space_disjoint,
@@ -24,7 +26,8 @@ from hsa_lab.verify import (
     sweep_security,
 )
 
-from oracles import brute_cond_entropy, brute_mutual_information, four_rank_leak
+from oracles import (brute_cond_entropy, brute_mutual_information, four_rank_leak,
+                     reservoir_walk)
 from test_acceptance import symbolic_messages
 
 F3 = PrimeField(3)
@@ -288,6 +291,19 @@ def test_sweep_budget_subsampling_is_deterministic():
     assert r1.as_dict() == r2.as_dict()
 
 
+@pytest.mark.parametrize("top, t_h, t_u, all_sizes, budget, seed", [
+    (build_cyclic(6, 2), 1, 2, True, 10, 5),
+    (build_cyclic(12, 3), 2, 3, False, 100, 0),
+    (build_multiple_cyclic(7, 2, 2), 2, 1, False, 17, 3),
+    (build_tree(3, 2), 2, 2, True, 1, 11),
+])
+def test_reservoir_draws_the_sample_of_the_full_walk(top, t_h, t_u, all_sizes, budget, seed):
+    # the sample is drawn over (relays, users) tuples; only the kept ones are built
+    assert count_patterns(top, t_h, t_u, all_sizes) > budget
+    sample = _reservoir(_pattern_tuples(top, t_h, t_u, all_sizes), budget, seed)
+    assert sample == reservoir_walk(iter_patterns(top, t_h, t_u, all_sizes), budget, seed)
+
+
 def test_sweep_oracle_and_both():
     s = example_scheme()
     rep = sweep_security(s, 1, 1, all_sizes=True, method="both", oracle_cap=10**6)
@@ -357,11 +373,16 @@ def test_oracle_stays_off_the_rank_path(monkeypatch):
     assert any(not res.is_zero for res in expected[1][0])
 
     def no_elimination(*args):
-        raise AssertionError("the oracle reached gf._rref")
+        raise AssertionError("the oracle reached an elimination routine")
 
-    monkeypatch.setattr(gf, "_rref", no_elimination)
-    with pytest.raises(AssertionError):
-        schemes[0].key_map.rank()
+    for routine in ("_echelon_pivots", "_all_nonsingular", "_rref"):
+        monkeypatch.setattr(gf, routine, no_elimination)
+    key_map = schemes[0].key_map
+    square = key_map.take_cols(range(key_map.rows))
+    for eliminate in (key_map.rank, square.inverse, lambda: gf.pivots(key_map),
+                      lambda: gf.mds_check(key_map)):
+        with pytest.raises(AssertionError):
+            eliminate()
     assert [oracle_values(s) for s in schemes] == expected
 
 
