@@ -15,7 +15,7 @@ only by `inverse`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -381,9 +381,11 @@ def mds_check(m: FieldMatrix) -> bool:
     if m.rows == 0:
         return True
     combos = combinations(range(m.cols), m.rows)
-    while chunk := list(islice(combos, _MINOR_CHUNK)):
+    while (chunk := np.fromiter(chain.from_iterable(islice(combos, _MINOR_CHUNK)),
+                                dtype=np.intp)).size:
         # minors[b, i, j] = m[i, chunk[b][j]]
-        if not _all_nonsingular(m.a[:, chunk].transpose(1, 0, 2), m.field.q):
+        minors = m.a[:, chunk.reshape(-1, m.rows)].transpose(1, 0, 2)
+        if not _all_nonsingular(minors, m.field.q):
             return False
     return True
 

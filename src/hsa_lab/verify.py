@@ -4,17 +4,18 @@ Two independent routes are provided for every security question:
 
 * an algebraic route that reduces mutual information to matrix ranks
   (exact for linear maps of uniform independent seeds), and
-* a brute-force oracle that enumerates the whole seed space, tabulates
-  exact joint counts and decides zero mutual information by integer
+* a brute-force oracle that enumerates the unknown inputs and seeds,
+  tabulates exact joint counts and decides zero mutual information by integer
   factorization of those counts.  No floating point is involved anywhere.
 
 The oracle exists to check the algebra, so it never calls into the rank
-path; agreement between the two is itself a tested property.  It evaluates
-each output symbol only over the variables in that row's support, read off
-the row's nonzero coefficients.  That needs no elimination, so the oracle
-still makes no rank calls, and a map's count over all states is its count
-over its support times q for every variable outside it.  The rank route
-works on the quotient by the colluders' known inputs: one reduction per pattern.
+path; agreement between the two is itself a tested property.  A known
+input symbol is a unit row: conditioning on it only shifts the other maps
+by a known constant, so by independence its column leaves the grid.  Each
+output symbol is evaluated only over its row's support, and a map's count
+over all states is its count there times q per variable outside it.
+Neither step needs elimination.  The rank route reduces the same quotient
+by the known inputs, once per pattern.
 """
 
 from __future__ import annotations
@@ -88,17 +89,13 @@ def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
                       row_labels=tuple(labels))
 
 
-def _known_rows(s: Scheme, input_users: Iterable[int], key_users: Iterable[int]) -> np.ndarray:
-    """Coefficients of (inputs of input_users, keys of key_users)."""
-    n, n_w = s.topology.n, s.topology.N * s.topology.n
-    input_cols = [(i - 1) * n + p for i in input_users for p in range(n)]
-    keys = [s.user_key_map(i).a.T for i in key_users]
-    rows = np.zeros((len(input_cols) + sum(k.shape[0] for k in keys), n_w + s.seed_count),
-                    dtype=np.int64)
-    rows[range(len(input_cols)), input_cols] = 1
-    if keys:
-        rows[len(input_cols):, n_w:] = np.vstack(keys)
-    return rows
+def _quotient(s: Scheme, p: CollusionPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V_s, V_w on the free users' inputs, K_c): the view V = [V_w | V_s] with
+    the colluders' input columns deleted, and their key rows (seed columns)."""
+    view, n, k = adversary_view(s, p), s.topology.n, s.keys_per_user
+    free = [c for c in range(s.topology.N * n) if c // n + 1 not in p.users]
+    keys = s.key_map.a[:, [(i - 1) * k + t for i in p.users for t in range(k)]].T
+    return view.c_r.a, view.c_w.a[:, free], keys
 
 
 def rank_leak(s: Scheme, p: CollusionPattern) -> int:
@@ -111,13 +108,11 @@ def rank_leak(s: Scheme, p: CollusionPattern) -> int:
     rank([V_s | V_w on the free users' inputs ; K_c | 0]) - rank([V_s ; K_c]),
     which is the number of pivots past the seed columns.
     """
-    view, n, k = adversary_view(s, p), s.topology.n, s.keys_per_user
-    free = [c for c in range(s.topology.N * n) if c // n + 1 not in p.users]
-    keys = s.key_map.a[:, [(i - 1) * k + t for i in p.users for t in range(k)]].T
-    seeds, rows = s.seed_count, view.c_r.rows
-    stack = np.zeros((rows + keys.shape[0], seeds + len(free)), dtype=np.int64)
-    stack[:rows, :seeds] = view.c_r.a
-    stack[:rows, seeds:] = view.c_w.a[:, free]
+    v_s, v_free, keys = _quotient(s, p)
+    seeds, rows = s.seed_count, v_s.shape[0]
+    stack = np.zeros((rows + keys.shape[0], seeds + v_free.shape[1]), dtype=np.int64)
+    stack[:rows, :seeds] = v_s
+    stack[:rows, seeds:] = v_free
     stack[rows:, :seeds] = keys
     return sum(c >= seeds for c in gf.pivots(FieldMatrix._wrap(s.field, stack)))
 
@@ -162,15 +157,17 @@ def check_key_space_disjoint(s: Scheme, p: CollusionPattern) -> bool:
 
 
 def _assignments(q: int, n_vars: int) -> Iterator[np.ndarray]:
-    """All q**n_vars assignments, yielded as chunks of rows."""
-    total = q ** n_vars
-    if n_vars == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
-    powers = np.array([q ** (n_vars - 1 - i) for i in range(n_vars)], dtype=np.int64)
-    for start in range(0, total, _CHUNK_ROWS):
-        idx = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
-        yield (idx[:, None] // powers) % q
+    """All q**n_vars assignments in row-major order, in chunks: each is one value of
+    the high digits over all q**k low-digit rows, k the most digits with q**k <= 2**16."""
+    k = 0
+    while k < n_vars and q ** (k + 1) <= _CHUNK_ROWS:
+        k += 1
+    low = np.indices((q,) * k, dtype=np.int64).reshape(k, q ** k).T
+    for high in np.ndindex((q,) * (n_vars - k)):
+        chunk = np.empty((low.shape[0], n_vars), dtype=np.int64)
+        chunk[:, :n_vars - k] = high
+        chunk[:, n_vars - k:] = low
+        yield chunk
 
 
 def _expand_for_width(mat: np.ndarray, width: int) -> np.ndarray:
@@ -247,10 +244,13 @@ def _entropy_sum(image: tuple[np.ndarray, int], q: int, total: int) -> int:
     return q**free * int(counts @ exps) + total * free
 
 
-def _cond_entropy(given: tuple[np.ndarray, int], a_mat: np.ndarray, q: int,
-                  total: int) -> int:
-    """total * H(A.s | B.s) in log_q units, for `given` the image of B."""
-    return _entropy_sum(given, q, total) - _entropy_sum(_fold(given, a_mat, q), q, total)
+def _cond_entropy(a_mat: np.ndarray, b_mat: np.ndarray, q: int) -> Fraction:
+    """H(A.s | B.s) in log_q units, s uniform over the maps' columns."""
+    n_vars = a_mat.shape[1]
+    total = q ** n_vars
+    given = _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), b_mat, q)
+    return Fraction(_entropy_sum(given, q, total)
+                    - _entropy_sum(_fold(given, a_mat, q), q, total), total)
 
 
 @dataclass(frozen=True)
@@ -264,12 +264,12 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
               cap: int = 10**8) -> OracleResult:
     """Brute-force mutual information of (inputs; view | colluders' data).
 
-    Enumerates every assignment of the input symbols and key seeds,
-    tabulates the exact class counts of the colluders' data C, the inputs
-    U and the view V, and returns I(U; V | C) = H(V | C) - H(V | U, C)
-    exactly (log_q units).  Peak memory is at most about 48 bytes per
-    state of the variables the maps depend on (42.6 measured for scheme C
-    on cyclic(3, 2) at q = 5, where they depend on all 390 625 states).
+    Returns I(U; V | C) = H(V | C) - H(V | U, C) exactly (log_q units), for
+    U the inputs, V the view and C the colluders' inputs and keys.  A known
+    input is a unit row: conditioning on it only shifts the other maps by a
+    known constant, so its column leaves the grid.  H(V | C) is thus counted
+    over the free users' inputs and the seeds, H(V | U, C) over the seeds
+    alone.  The cap and `states` still cover every input and seed.
 
     Raises:
         TooLargeToEnumerate: if q**((N*n + seeds) * width) exceeds cap.
@@ -280,15 +280,9 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     total = q ** n_vars
     if total > cap:
         raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
-
-    u_mat = _expand_for_width(_known_rows(s, range(1, s.topology.N + 1), ()), width)
-    v_mat = _expand_for_width(adversary_view(s, p).coefficients.a, width)
-    c_mat = _expand_for_width(_known_rows(s, p.users, p.users), width)
-
-    c_image = _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), c_mat, q)
-    uc_image = _fold(c_image, u_mat, q)
-    mi = Fraction(_cond_entropy(c_image, v_mat, q, total)
-                  - _cond_entropy(uc_image, v_mat, q, total), total)
+    v_s, v_free, keys = (_expand_for_width(m, width) for m in _quotient(s, p))
+    given = np.hstack([keys, np.zeros((keys.shape[0], v_free.shape[1]), dtype=np.int64)])
+    mi = _cond_entropy(np.hstack([v_s, v_free]), given, q) - _cond_entropy(v_s, keys, q)
     return OracleResult(is_zero=(mi == 0), mi_value=mi, states=total)
 
 
@@ -304,12 +298,9 @@ def cond_entropy_enumerated(a_map: FieldMatrix, b_map: FieldMatrix,
     if a_map.cols != b_map.cols or a_map.field != b_map.field:
         raise InvalidArgument("maps must share a field and a seed space")
     q = a_map.field.q
-    n_vars = a_map.cols
-    total = q ** n_vars
-    if total > cap:
-        raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
-    b_image = _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), b_map.a, q)
-    return Fraction(_cond_entropy(b_image, a_map.a, q, total), total)
+    if q ** a_map.cols > cap:
+        raise TooLargeToEnumerate(f"{q}**{a_map.cols} states exceed the cap {cap}")
+    return _cond_entropy(a_map.a, b_map.a, q)
 
 
 # -- decodability --------------------------------------------------------------

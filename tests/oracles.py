@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Everything here is deliberately naive and separate from the library code
-paths it checks.
+paths it checks, except full_grid_mi_oracle: the oracle's earlier form on
+the library's counting engine, kept to pin the factored form to it.
 """
 
 from collections import Counter
@@ -9,6 +10,9 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+
+from hsa_lab.errors import TooLargeToEnumerate
+from hsa_lab.verify import OracleResult, _cond_entropy, _expand_for_width, adversary_view
 
 
 def brute_inverse(a: int, q: int) -> int:
@@ -136,6 +140,35 @@ def four_rank_leak(u, v, c, q: int) -> int:
     uc = np.vstack([u, c])
     return ((brute_rank(np.vstack([v, c]), q) - brute_rank(c, q))
             - (brute_rank(np.vstack([v, uc]), q) - brute_rank(uc, q)))
+
+
+def _known_rows(s, input_users, key_users) -> np.ndarray:
+    """Coefficients of (inputs of input_users, keys of key_users)."""
+    n, n_w = s.topology.n, s.topology.N * s.topology.n
+    input_cols = [(i - 1) * n + p for i in input_users for p in range(n)]
+    keys = [s.user_key_map(i).a.T for i in key_users]
+    rows = np.zeros((len(input_cols) + sum(k.shape[0] for k in keys), n_w + s.seed_count),
+                    dtype=np.int64)
+    rows[range(len(input_cols)), input_cols] = 1
+    if keys:
+        rows[len(input_cols):, n_w:] = np.vstack(keys)
+    return rows
+
+
+def full_grid_mi_oracle(s, p, width: int = 1, cap: int = 10**8) -> OracleResult:
+    """mi_oracle as first written: H(V | C) - H(V | U, C) with U and C folded
+    in as rows and both entropies counted over every input and seed."""
+    p.validate(s)
+    q = s.field.q
+    n_vars = (s.topology.N * s.topology.n + s.seed_count) * width
+    total = q ** n_vars
+    if total > cap:
+        raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
+    u_mat = _expand_for_width(_known_rows(s, range(1, s.topology.N + 1), ()), width)
+    v_mat = _expand_for_width(adversary_view(s, p).coefficients.a, width)
+    c_mat = _expand_for_width(_known_rows(s, p.users, p.users), width)
+    mi = _cond_entropy(v_mat, c_mat, q) - _cond_entropy(v_mat, np.vstack([c_mat, u_mat]), q)
+    return OracleResult(is_zero=(mi == 0), mi_value=mi, states=total)
 
 
 def reservoir_walk(patterns, budget: int, seed: int) -> list:

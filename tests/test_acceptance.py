@@ -407,3 +407,13 @@ def test_criterion_10_keyless_baseline_and_min_cut():
         assert min_cut(top) == top.n
         assert brute_min_cut(top) == top.n, (top.N, top.K, top.n)
     _pass(10, "keyless baseline computes the sum at rate n; min-cut matches brute force", budget)
+
+
+def test_oracle_sweep_over_ten_million_states():
+    # A on cyclic(3,2), q=5: 16 lattice patterns over 5**10 inputs and seeds each
+    budget = Budget(2.0)
+    s = build_scheme_a(build_cyclic(3, 2), PrimeField(5), seed=0)
+    rep = sweep_security(s, 1, 1, all_sizes=True, method="oracle", oracle_cap=10**7)
+    assert (rep.checked, rep.passed, rep.skipped_cap) == (16, 16, 0)
+    assert mi_oracle(s, next(iter_patterns(s.topology, 1, 1, True)), cap=10**7).states == 5**10
+    print(f"oracle sweep: PASS - 16 patterns of 5**10 states each ({budget.check():.1f}s)")

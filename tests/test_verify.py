@@ -11,6 +11,7 @@ from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme
 from hsa_lab.topology import build_cyclic, build_multiple_cyclic, build_tree
 from hsa_lab.verify import (
     CollusionPattern,
+    _assignments,
     _pattern_tuples,
     _reservoir,
     adversary_view,
@@ -26,8 +27,8 @@ from hsa_lab.verify import (
     sweep_security,
 )
 
-from oracles import (brute_cond_entropy, brute_mutual_information, four_rank_leak,
-                     reservoir_walk)
+from oracles import (_all_states, brute_cond_entropy, brute_mutual_information,
+                     four_rank_leak, full_grid_mi_oracle, reservoir_walk)
 from test_acceptance import symbolic_messages
 
 F3 = PrimeField(3)
@@ -182,6 +183,19 @@ def test_oracle_cap():
         mi_oracle(s, CollusionPattern([1], []), cap=10**4)
 
 
+def test_oracle_cap_covers_the_whole_grid():
+    # the counted grids are 3**8 (free inputs and seeds) and 3**4 (seeds), yet
+    # the cap still applies to all 3**10 inputs and seeds
+    s = example_scheme(3)
+    pat = CollusionPattern([1], [1])
+    with pytest.raises(TooLargeToEnumerate):
+        mi_oracle(s, pat, cap=3**10 - 1)
+    assert mi_oracle(s, pat, cap=3**10).states == 3**10
+    readme_b = build_scheme_b(build_cyclic(6, 2), PrimeField(13), 2, seed=7)
+    rep = sweep_security(readme_b, 1, 2, method="oracle", oracle_cap=10**6)
+    assert (rep.checked, rep.skipped_cap, rep.passed, rep.failed) == (154, 154, 0, 0)
+
+
 def test_oracle_monotone_under_fewer_relays():
     # dropping a relay from the coalition can only shrink its view
     for s in (keyless(example_scheme()), tampered(example_scheme())):
@@ -216,6 +230,14 @@ def test_oracle_agrees_with_rank_both_ways():
 
 
 # -- decodability -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q, n_vars", [(2, 0), (5, 0), (3, 1), (2, 5), (3, 11), (7, 7),
+                                       (2, 17), (257, 2)])
+def test_assignments_are_the_row_major_enumeration(q, n_vars):
+    chunks = list(_assignments(q, n_vars))
+    assert all(1 <= chunk.shape[0] <= 1 << 16 for chunk in chunks)
+    assert np.array_equal(np.vstack(chunks), _all_states(q, n_vars))
 
 
 def test_decodability_exhaustive_small():
@@ -418,8 +440,8 @@ def test_cond_entropy_matches_reference(q, cols, a_rows, b_rows, data):
 
 
 # (K, q, width) with at most 3**9 states, so the reference stays quick
-ORACLE_GRID = [(2, 2, 1), (2, 3, 1), (2, 5, 1), (2, 7, 1), (2, 2, 3), (2, 3, 3),
-               (3, 3, 1), (3, 5, 1), (3, 7, 1)]
+ORACLE_GRID = [(2, 2, 1), (2, 3, 1), (2, 5, 1), (2, 7, 1), (2, 2, 2), (2, 3, 2), (2, 2, 3),
+               (2, 3, 3), (3, 3, 1), (3, 5, 1), (3, 7, 1)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -440,6 +462,7 @@ def test_mi_oracle_matches_reference(grid, key_map, data):
     expected = brute_mutual_information(*oracle_maps(s, pat, width), q)
     assert res.mi_value == expected and res.is_zero is (expected == 0)
     assert res.states == q ** ((k + s.seed_count) * width)
+    assert res == full_grid_mi_oracle(s, pat, width=width)
 
 
 def test_engine_matches_reference_on_a_leak_and_random_maps():
@@ -451,6 +474,26 @@ def test_engine_matches_reference_on_a_leak_and_random_maps():
     h = cond_entropy_enumerated(FieldMatrix(F7, a), FieldMatrix(F7, b))
     assert leak.mi_value == brute_mutual_information(*oracle_maps(s, pat, 1), 5) > 0
     assert h == brute_cond_entropy(a, b, 7)
+
+
+# the oracle workload's three report configs
+ORACLE_WORKLOAD = {
+    "triangle-A-q3": lambda: build_scheme_a(build_cyclic(3, 2), F3, seed=0),
+    "tree22-A-q7": lambda: build_scheme_a(build_tree(2, 2), F7, seed=0),
+    "triangle-C-q5": lambda: build_scheme_c(3, F5),
+}
+
+
+@pytest.mark.parametrize("config", list(ORACLE_WORKLOAD))
+def test_factored_oracle_equals_full_grid_on_the_workload(config):
+    clean = ORACLE_WORKLOAD[config]()
+    leaks = 0
+    for s in (clean, tampered(clean), keyless(clean)):
+        for pat in iter_patterns(s.topology, 1, 1, all_sizes=True):
+            res = mi_oracle(s, pat)
+            assert res == full_grid_mi_oracle(s, pat), (config, pat)
+            leaks += not res.is_zero
+    assert leaks > 0
 
 
 # -- rank route vs the four-rank formula and the oracle ------------------------------
