@@ -3,7 +3,8 @@
 All file formats are plain JSON with a schema tag and integer matrices,
 serialized with sorted keys so that identical configs produce byte-identical
 artifacts (timing fields excluded).  Exit codes: 0 all checks passed,
-1 verification failure, 2 configuration error.
+1 verification failure or failed run (out of memory included), 2 configuration
+error.
 """
 
 from __future__ import annotations
@@ -474,6 +475,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return _EXIT_VERIFICATION
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
+    except MemoryError as exc:
+        # e.g. variant A at q near 2**31 draws from a q-element permutation
+        print(f"run failed: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
+        return _EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

@@ -9,7 +9,12 @@ a nonzero entry at or below the row pointer).  Ranks, pivot lists and minor
 checks use fraction-free forward elimination, which needs no inverses: a row
 below the pivot becomes pivot * row - entry * pivot_row, exact in int64 since
 q <= 2**31.  A reduced form, and with it a modular inverse per pivot, is built
-only by `inverse`.
+only by `inverse`.  Every reduction whose size grows with columns or minors
+(the constructor, `+`, negation, int64 products, the minor-stack update) goes
+through `_reduce`, x - (x // q) * q, which numpy vectorizes where it does not
+vectorize `%`; the two single-matrix elimination loops keep `%`, since their
+updates touch a few hundred entries, where one `%` costs less than three
+ufunc calls.
 """
 
 from __future__ import annotations
@@ -100,7 +105,7 @@ class FieldMatrix:
         arr = np.array(entries, dtype=np.int64)
         if arr.ndim != 2:
             raise ShapeError(f"expected a 2-d array, got ndim={arr.ndim}")
-        arr %= field.q
+        _reduce(arr, field.q)
         arr.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", arr)
@@ -170,13 +175,13 @@ class FieldMatrix:
         self._check_same_field(other)
         if self.a.shape != other.a.shape:
             raise ShapeError(f"shape mismatch {self.a.shape} + {other.a.shape}")
-        return FieldMatrix._wrap(self.field, (self.a + other.a) % self.field.q)
+        return FieldMatrix._wrap(self.field, _reduce(self.a + other.a, self.field.q))
 
     def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
         return self + (-other)
 
     def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix._wrap(self.field, (-self.a) % self.field.q)
+        return FieldMatrix._wrap(self.field, _reduce(-self.a, self.field.q))
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
         self._check_same_field(other)
@@ -206,10 +211,23 @@ class FieldMatrix:
         return FieldMatrix._wrap(self.field, red[:, n:])
 
 
+def _reduce(x: np.ndarray, q: int) -> np.ndarray:
+    """Reduce the int64 array x mod q in place and return it; x must be fresh.
+
+    numpy vectorizes floor division by a scalar but not `%`, so this is the
+    faster form on large arrays.  It equals Python's `%` entry by entry: `//`
+    floors, and an int64 wrap in `t *= q` cancels in `x -= t`.
+    """
+    t = x // q
+    t *= q
+    x -= t
+    return x
+
+
 def _matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     # int64 products are exact as long as the accumulated dot cannot overflow
     if (q - 1) * (q - 1) * a.shape[1] <= _INT64_MAX:
-        return (a @ b) % q
+        return _reduce(a @ b, q)
     return ((a.astype(object) @ b.astype(object)) % q).astype(np.int64)
 
 
@@ -257,8 +275,8 @@ def _all_nonsingular(stack: np.ndarray, q: int) -> bool:
         pivot_rows = m[batch, p]
         m[batch, p] = m[:, k]
         m[:, k] = pivot_rows
-        m[:, k + 1:, k + 1:] = (pivot_rows[:, k, None, None] * m[:, k + 1:, k + 1:]
-                                - m[:, k + 1:, k, None] * pivot_rows[:, None, k + 1:]) % q
+        m[:, k + 1:, k + 1:] = _reduce(pivot_rows[:, k, None, None] * m[:, k + 1:, k + 1:]
+                                       - m[:, k + 1:, k, None] * pivot_rows[:, None, k + 1:], q)
     return True
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolViolation, ShapeError
-from .gf import FieldMatrix
+from .gf import FieldMatrix, _reduce
 from .schemes import KeyMaterial, Scheme, sample_keys
 
 _TRANSCRIPT_SCHEMA = "hsa-lab/transcript/1"
@@ -71,10 +71,12 @@ def relay_aggregate(s: Scheme, relay: int, incoming: dict[int, np.ndarray]) -> n
     if set(incoming) != expected:
         raise ProtocolViolation(
             f"relay {relay} expected users {sorted(expected)}, got {sorted(incoming)}")
-    total = np.zeros_like(next(iter(incoming.values())))
-    for v in incoming.values():
-        total = (total + v) % s.field.q
-    return total
+    # m entries below q <= 2**31 sum exactly in int64, so one reduction suffices
+    msgs = iter(incoming.values())
+    total = next(msgs).astype(np.int64)
+    for v in msgs:
+        total += v
+    return _reduce(total, s.field.q)
 
 
 def server_decode(s: Scheme, y: dict[int, np.ndarray]) -> FieldMatrix:

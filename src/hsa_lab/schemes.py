@@ -371,10 +371,11 @@ def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
                  for a in alphas for p in range(copies)}
     if copies > 1:
         forbidden.add(0)
-    pool = [v for v in range(q) if v not in forbidden]
-    if len(pool) < k:
-        raise FieldTooSmall(f"only {len(pool)} usable Cauchy parameters over F_{q}, need {k}")
-    pool_arr = np.array(pool, dtype=np.int64)
+    usable = np.ones(q, dtype=bool)
+    usable[list(forbidden)] = False
+    pool_arr = np.flatnonzero(usable)
+    if pool_arr.size < k:
+        raise FieldTooSmall(f"only {pool_arr.size} usable Cauchy parameters over F_{q}, need {k}")
     rejections = dict.fromkeys(_B_REJECTIONS, 0)
     for attempt in range(1, max_attempts + 1):
         c = [int(v) for v in rng.permutation(pool_arr)[:k]]

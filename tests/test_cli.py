@@ -464,3 +464,24 @@ def test_fuzzed_config_never_ends_in_traceback(field, value):
                 code = main(argv)
             assert code in (0, 1, 2)
             assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+NUMPY_OOM = "Unable to allocate 16.0 GiB for an array with shape (2147483647,) and data type int64"
+
+
+@pytest.mark.parametrize("command", ["build", "report"])
+@pytest.mark.parametrize("message,shown", [(NUMPY_OOM, NUMPY_OOM), ("", "allocation failed")],
+                         ids=["numpy message", "no message"])
+def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, command, message,
+                                             shown):
+    # variant A at q = 2**31 - 1 draws from a q-element permutation; the test never allocates it
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("hsa_lab.cli.build_scheme_a", exhausted)
+    cfg = write_config(tmp_path, field_q=2**31 - 1)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"run failed: out of memory ({shown})\n"
+    assert not (tmp_path / "out.json").exists()

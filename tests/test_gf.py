@@ -251,6 +251,37 @@ def test_edge_constructor_reduces_and_copies(q, entries):
     assert not m.a.flags.writeable
 
 
+INT64 = np.iinfo(np.int64)
+
+
+def int64_entries(q):
+    # the whole int64 range, its two ends, and values next to multiples of q
+    near = st.tuples(st.integers(INT64.min // q, INT64.max // q), st.integers(-1, 1)).map(
+        lambda kd: min(max(kd[0] * q + kd[1], int(INT64.min)), int(INT64.max)))
+    return (st.integers(int(INT64.min), int(INT64.max)) | near
+            | st.sampled_from([int(INT64.min), int(INT64.min) + 1, -1, 0, 1, int(INT64.max)]))
+
+
+@st.composite
+def reduce_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5, 7, 65537, 2**31 - 1]))
+    shape = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    size = int(np.prod(shape))
+    return q, shape, draw(st.lists(int64_entries(q), min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(reduce_cases())
+@example((3, [2], [int(INT64.min), int(INT64.max)]))
+@example((2**31 - 1, [0, 3], []))
+def test_reduce_is_python_mod(case):
+    q, shape, entries = case
+    x = np.array(entries, dtype=np.int64).reshape(shape)
+    out = gf._reduce(x, q)
+    assert out is x and out.dtype == np.int64 and out.shape == tuple(shape)
+    assert out.ravel().tolist() == [e % q for e in entries]
+
+
 # -- structured matrices -----------------------------------------------------------
 
 

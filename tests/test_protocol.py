@@ -91,6 +91,24 @@ def test_relay_single_user_passthrough():
     assert relay_aggregate(s, 1, {1: msg}).tolist() == [4, 2]
 
 
+def test_relay_sum_of_largest_entries_is_exact():
+    # three messages of q - 1 at q = 2**31 - 1, summed in int64 and reduced once
+    q = 2**31 - 1
+    field = PrimeField(q)
+    top = build_cyclic(6, 3)
+    s = build_scheme_a(top, field, decode_matrix=gf.vandermonde(range(1, 7), 3, field))
+    for relay in range(1, top.K + 1):
+        users = top.relay_links[relay - 1]
+        assert len(users) >= 3
+        incoming = {u: np.full(5, q - 1, dtype=np.int64) for u in users}
+        reference = np.zeros(5, dtype=np.int64)
+        for v in incoming.values():
+            reference = (reference + v) % q
+        assert relay_aggregate(s, relay, incoming).tolist() == reference.tolist()
+        assert reference.tolist() == [(len(users) * (q - 1)) % q] * 5
+        assert all(v.tolist() == [q - 1] * 5 for v in incoming.values())  # inputs untouched
+
+
 def test_server_decode_requires_all_relays():
     s = example_scheme()
     with pytest.raises(ProtocolViolation):
