@@ -48,7 +48,6 @@ from .verify import (
     LinearView,
     adversary_view,
     check_decodability,
-    check_key_space_disjoint,
     check_security_rank,
     cond_entropy_enumerated,
     converse_spot_checks,

@@ -62,8 +62,9 @@ class Scheme:
     column block for user i's relays.  key_map sends the seed vector to
     the concatenated user keys: keys_per_user columns per user, n for
     variant A and 1 for variant BL.  key_weights is the N x K link weight
-    matrix of variant BL, None for variant A.  link_keys (seeds x N*n) is
-    derived from both and never serialized.
+    matrix of variant BL, None for variant A.  link_keys (seeds x N*n) and
+    link_rows, the coefficients of every wire message that the adversary
+    view and the rank route gather, are derived and never serialized.
     """
 
     variant: str
@@ -117,6 +118,20 @@ class Scheme:
         """Seeds x N*n map from the seed vector to every link key, user-major."""
         return gf.hstack([self.user_key_map(i) @ self.key_spread(i)
                           for i in range(1, self.topology.N + 1)])
+
+    @cached_property
+    def link_rows(self) -> np.ndarray:
+        """Read-only N*n x (seeds + N*n) coefficients of every wire message.
+
+        Row link_index(i, j) is message (i, j) over (seeds, inputs): the link
+        key, then row link_pos(i, j) of encoders[i-1] in user i's input columns.
+        """
+        big_n, n = self.topology.N, self.topology.n
+        inputs = np.zeros((big_n, n, big_n, n), dtype=np.int64)
+        inputs[range(big_n), :, range(big_n)] = [e.a for e in self.encoders]
+        rows = np.hstack([self.link_keys.a.T, inputs.reshape(big_n * n, -1)])
+        rows.flags.writeable = False
+        return rows
 
     def link_weight(self, user: int, relay: int) -> int:
         if self.variant != VARIANT_WEIGHTED:

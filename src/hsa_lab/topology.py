@@ -149,14 +149,25 @@ def collusion_threshold(top: Topology, t_h: int) -> int:
 
     This is the user-collusion feasibility boundary: a scheme at per-link
     load 1/n tolerates t_u colluding users iff t_u stays strictly below this
-    value.  Exhaustive over all relay subsets of the required size, with an
-    early exit once the union cannot shrink further.
+    value.
+
+    On a (multiple) cyclic network, recognised by value, it is copies * (K - t_h):
+    relay j serves the copies of base users j-n+1..j (mod K), so relays S are
+    covered by copies * |S - {0..n-1}| users.  Each of the n - 1 steps
+    T -> T | (T - 1) adds a user unless T is empty or all of Z_K (1 generates
+    Z_K), so |S| = K - t_h - n + 1 needs at least K - t_h users (t_h >= 1),
+    and consecutive relays meet that bound.  Other topologies are searched
+    exhaustively over all relay subsets of the required size, with an early
+    exit once the union cannot shrink further.
 
     Raises:
         InvalidArgument: unless 0 < t_h <= K - n.
     """
     if not 0 < t_h <= top.K - top.n:
         raise InvalidArgument(f"t_h={t_h} outside (0, K-n] = (0, {top.K - top.n}]")
+    copies, rest = divmod(top.N, top.K)
+    if rest == 0 and top == build_multiple_cyclic(top.K, top.n, copies):
+        return copies * (top.K - t_h)
     size = top.K - t_h - top.n + 1
     best = top.N + 1
     for subset in combinations(range(top.K), size):

@@ -15,11 +15,13 @@ by a known constant, so by independence its column leaves the grid.  Each
 output symbol is evaluated only over its row's support, and a map's count
 over all states is its count there times q per variable outside it.
 Neither step needs elimination.  The rank route reduces the same quotient
-by the known inputs, once per pattern.
+by the known inputs once per pattern, gathered from `Scheme.link_rows`
+without the rows and columns that cannot change the leak (see rank_leak).
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,9 +34,10 @@ from . import gf
 from .errors import InvalidArgument, TooLargeToEnumerate
 from .gf import FieldMatrix, PrimeField
 from .protocol import run_round
-from .schemes import Scheme, VARIANT_LINK_KEYS, derive_user_keys, link_key_constraint_ok
+from .schemes import Scheme, derive_user_keys, link_key_constraint_ok
 
 _CHUNK_ROWS = 1 << 16
+_DRAW_BLOCK = 4096  # reservoir replacement indices drawn per call
 
 
 @dataclass(frozen=True)
@@ -71,22 +74,14 @@ class LinearView:
     c_r: FieldMatrix
     row_labels: tuple[tuple[int, int], ...]
 
-    @property
-    def coefficients(self) -> FieldMatrix:
-        return gf.hstack([self.c_w, self.c_r])
-
 
 def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
-    """Stack the coefficient rows of all messages received by p.relays."""
+    """Gather the coefficient rows of all messages received by p.relays."""
     p.validate(s)
-    top, n = s.topology, s.topology.n
-    labels = [(i, j) for j in p.relays for i in top.relay_links[j - 1]]
-    c_w = np.zeros((len(labels), top.N * n), dtype=np.int64)
-    for r, (i, j) in enumerate(labels):
-        c_w[r, (i - 1) * n:i * n] = s.encoders[i - 1].a[s.link_pos(i, j), :]
-    c_r = s.link_keys.a[:, [s.link_index(i, j) for i, j in labels]].T
-    return LinearView(c_w=FieldMatrix._wrap(s.field, c_w), c_r=FieldMatrix._wrap(s.field, c_r),
-                      row_labels=tuple(labels))
+    labels = [(i, j) for j in p.relays for i in s.topology.relay_links[j - 1]]
+    rows, seeds = s.link_rows[[s.link_index(i, j) for i, j in labels]], s.seed_count
+    return LinearView(c_w=FieldMatrix._wrap(s.field, rows[:, seeds:]),
+                      c_r=FieldMatrix._wrap(s.field, rows[:, :seeds]), row_labels=tuple(labels))
 
 
 def _quotient(s: Scheme, p: CollusionPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,48 +101,33 @@ def rank_leak(s: Scheme, p: CollusionPattern) -> int:
     adds 1 to every rank and clears its column; with V = [V_w | V_s] the view
     and K_c the colluders' key rows, the leak comes down to
     rank([V_s | V_w on the free users' inputs ; K_c | 0]) - rank([V_s ; K_c]),
-    which is the number of pivots past the seed columns.
+    which is the number of pivots past the seed columns.  Two exact trims
+    shrink that stack, for every scheme object whatever its matrices:
+
+    * a colluder's message row leaves it: its input part lies in deleted
+      columns, and its seed part, its link key, is a combination of the
+      colluder's key rows (link_keys = user_key_map @ key_spread), so it is
+      in the row space of [K_c | 0] and moves neither rank;
+    * the input columns of a free user with no link in the view leave it:
+      they are zero in every row, and a zero column never pivots.
     """
-    v_s, v_free, keys = _quotient(s, p)
-    seeds, rows = s.seed_count, v_s.shape[0]
-    stack = np.zeros((rows + keys.shape[0], seeds + v_free.shape[1]), dtype=np.int64)
-    stack[:rows, :seeds] = v_s
-    stack[:rows, seeds:] = v_free
-    stack[rows:, :seeds] = keys
-    return sum(c >= seeds for c in gf.pivots(FieldMatrix._wrap(s.field, stack)))
+    p.validate(s)
+    top, seeds, k = s.topology, s.seed_count, s.keys_per_user
+    seen = [s.link_index(i, j) for j in p.relays for i in top.relay_links[j - 1]
+            if i not in p.users]
+    users = sorted({row // top.n for row in seen})  # 0-based
+    cols = [*range(seeds), *(seeds + u * top.n + t for u in users for t in range(top.n))]
+    stack = np.zeros((len(seen) + k * len(p.users), len(cols)), dtype=np.int64)
+    stack[:len(seen)] = s.link_rows.take(seen, 0).take(cols, 1)
+    stack[len(seen):, :seeds] = s.key_map.a.T.take([(i - 1) * k + t for i in p.users
+                                                     for t in range(k)], 0)
+    pivots = gf.pivots(FieldMatrix._wrap(s.field, stack))
+    return len(pivots) - bisect.bisect_left(pivots, seeds)
 
 
 def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
     """True iff the coalition learns nothing beyond its own data."""
     return rank_leak(s, p) == 0
-
-
-def check_key_space_disjoint(s: Scheme, p: CollusionPattern) -> bool:
-    """Variant A sufficient condition for security of one pattern.
-
-    Stacks the key-placement rows of the observed messages (restricted to
-    the non-colluding users' key columns) on top of the non-colluding
-    decoding-column blocks; security follows when the two row spaces
-    intersect trivially, i.e. the stack's rank is the sum of the parts.
-
-    Raises:
-        InvalidArgument: for the weighted variant.
-    """
-    if s.variant != VARIANT_LINK_KEYS:
-        raise InvalidArgument("the key-placement check applies to variant A only")
-    p.validate(s)
-    top = s.topology
-    n = top.n
-    free_users = [i for i in range(1, top.N + 1) if i not in p.users]
-    if not free_users:
-        return True  # nothing left to protect; both matrices are empty
-    cols = [(i - 1) * n + k for i in free_users for k in range(n)]
-    observed = [s.link_index(i, j) for j in p.relays for i in top.relay_links[j - 1]]
-    placement = FieldMatrix(s.field, np.eye(top.N * n, dtype=np.int64)[np.ix_(observed, cols)])
-
-    decode_blocks = gf.hstack([s.column_block(i) for i in free_users])
-    stack = gf.vstack([placement, decode_blocks])
-    return stack.rank() == placement.rank() + decode_blocks.rank()
 
 
 # -- exhaustive enumeration engine --------------------------------------------
@@ -416,16 +396,21 @@ class SweepReport:
 
 def _reservoir(tuples: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], budget: int,
                seed: int) -> list[CollusionPattern]:
-    """A seeded uniform sample of `budget` patterns; only the kept ones are built."""
+    """A seeded uniform sample of `budget` patterns; only the kept ones are built.
+
+    The walk streams in blocks with one draw call each.  numpy draws an
+    array of bounds element by element, so the sample is that of one scalar
+    draw per tuple, and memory stays O(budget + block).
+    """
     rng = np.random.default_rng(seed)
-    chosen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for k, pat in enumerate(tuples):
-        if k < budget:
-            chosen.append(pat)
-        else:
-            r = int(rng.integers(0, k + 1))
-            if r < budget:
-                chosen[r] = pat
+    tuples = iter(tuples)
+    chosen = list(itertools.islice(tuples, budget))
+    k = len(chosen)
+    while block := list(itertools.islice(tuples, _DRAW_BLOCK)):
+        draws = rng.integers(0, np.arange(k + 1, k + len(block) + 1))
+        for pos in np.flatnonzero(draws < budget).tolist():
+            chosen[draws[pos]] = block[pos]
+        k += len(block)
     return [CollusionPattern(relays, users) for relays, users in chosen]
 
 

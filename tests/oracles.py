@@ -165,7 +165,8 @@ def full_grid_mi_oracle(s, p, width: int = 1, cap: int = 10**8) -> OracleResult:
     if total > cap:
         raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
     u_mat = _expand_for_width(_known_rows(s, range(1, s.topology.N + 1), ()), width)
-    v_mat = _expand_for_width(adversary_view(s, p).coefficients.a, width)
+    view = adversary_view(s, p)
+    v_mat = _expand_for_width(np.hstack([view.c_w.a, view.c_r.a]), width)
     c_mat = _expand_for_width(_known_rows(s, p.users, p.users), width)
     mi = _cond_entropy(v_mat, c_mat, q) - _cond_entropy(v_mat, np.vstack([c_mat, u_mat]), q)
     return OracleResult(is_zero=(mi == 0), mi_value=mi, states=total)

@@ -111,6 +111,20 @@ def test_collusion_threshold_matches_oracle_and_is_monotone(top):
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("k", range(3, 13))
+def test_collusion_threshold_closed_form_matches_exhaustive(k):
+    # the users listed in reverse make a network equal to no cyclic build,
+    # so it takes the exhaustive path
+    for n in range(1, k):
+        for copies in (1, 2, 3):
+            top = build_multiple_cyclic(k, n, copies)
+            relabeled = build_explicit(top.N, k, [list(h) for h in reversed(top.user_links)])
+            for t_h in range(1, k - n + 1):
+                expected = brute_collusion_threshold(top, t_h)
+                assert collusion_threshold(top, t_h) == copies * (k - t_h) == expected
+                assert collusion_threshold(relabeled, t_h) == expected
+
+
 @pytest.mark.parametrize("top", [
     build_cyclic(3, 2), build_cyclic(4, 3), build_cyclic(6, 2),
     build_multiple_cyclic(4, 2, 2), build_tree(2, 2),

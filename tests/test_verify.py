@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,6 @@ from hsa_lab.verify import (
     _reservoir,
     adversary_view,
     check_decodability,
-    check_key_space_disjoint,
     check_security_rank,
     cond_entropy_enumerated,
     converse_spot_checks,
@@ -86,14 +86,30 @@ def test_view_weighted_scheme():
         assert view.c_r.row(row).tolist() == expected.tolist()
 
 
-def test_view_matches_wire():
-    # the rank route and the oracle both read adversary_view; its rows must
-    # be the coefficients of the messages the protocol actually sends
+def wire_schemes():
+    """A, B, multiple-cyclic B and C, each clean and tampered."""
     schemes = [build_scheme_a(build_cyclic(4, 2), F5, seed=1),
                build_scheme_b(build_cyclic(6, 2), PrimeField(13), 2, seed=0),
                build_scheme_b(build_multiple_cyclic(7, 2, 2), PrimeField(29), 1, seed=3),
                build_scheme_c(5, F7)]
-    for s in schemes + [tampered(s) for s in schemes]:
+    return schemes + [tampered(s) for s in schemes]
+
+
+def test_link_rows_match_wire():
+    # the one per-link table: row link_index(i, j) is message (i, j) over
+    # (seeds, inputs), as the protocol computes it
+    for s in wire_schemes():
+        wire, _ = symbolic_messages(s)
+        assert s.link_rows.shape == (len(wire), s.seed_count + s.topology.N * s.topology.n)
+        assert not s.link_rows.flags.writeable
+        for (i, j), (c_w, c_r) in wire.items():
+            assert s.link_rows[s.link_index(i, j)].tolist() == [*c_r, *c_w], (i, j)
+
+
+def test_view_matches_wire():
+    # the rank route and the oracle both read adversary_view; its rows must
+    # be the coefficients of the messages the protocol actually sends
+    for s in wire_schemes():
         wire, _ = symbolic_messages(s)
         view = adversary_view(s, CollusionPattern(range(1, s.topology.K + 1), []))
         assert set(view.row_labels) == set(wire)
@@ -131,26 +147,6 @@ def test_rank_security_detects_unmasked():
     s = keyless(example_scheme())
     assert not check_security_rank(s, CollusionPattern([1], []))
     assert rank_leak(s, CollusionPattern([1], [])) > 0
-
-
-def test_key_space_disjoint():
-    s = example_scheme(5)
-    assert check_key_space_disjoint(s, CollusionPattern([1], [3]))
-    assert check_key_space_disjoint(s, CollusionPattern([1], [1, 2, 3]))  # vacuous
-    s4 = build_scheme_a(build_cyclic(4, 2), F5, seed=1)
-    for pat in iter_patterns(s4.topology, 1, 1, all_sizes=False):
-        assert check_key_space_disjoint(s4, pat)
-        assert check_security_rank(s4, pat)
-    with pytest.raises(InvalidArgument):
-        check_key_space_disjoint(build_scheme_c(5, F7), CollusionPattern([1], []))
-
-
-def test_key_space_disjoint_implies_rank_security():
-    for seed in range(3):
-        s = build_scheme_a(build_cyclic(4, 3), F5, seed=seed)
-        for pat in iter_patterns(s.topology, 1, 1, all_sizes=True):
-            if check_key_space_disjoint(s, pat):
-                assert check_security_rank(s, pat)
 
 
 # -- oracle -----------------------------------------------------------------------
@@ -326,6 +322,23 @@ def test_reservoir_draws_the_sample_of_the_full_walk(top, t_h, t_u, all_sizes, b
     assert sample == reservoir_walk(iter_patterns(top, t_h, t_u, all_sizes), budget, seed)
 
 
+@pytest.mark.parametrize("budget", [10, 1500, 14520 - 2 * 4096])
+def test_reservoir_draws_the_scalar_sample_across_draw_blocks(budget):
+    # 14,520 maximal patterns: the draws span several blocks of 4,096, and
+    # end partway through one or, at the last budget, on a block boundary
+    top = build_cyclic(12, 3)
+    sample = _reservoir(_pattern_tuples(top, 2, 3, False), budget, 4)
+    assert sample == reservoir_walk(iter_patterns(top, 2, 3, False), budget, 4)
+
+
+def test_block_draws_equal_scalar_draws_across_two_to_the_32():
+    # the property _reservoir's block draws rest on, at bounds past 32 bits
+    start = 2**32 - 3000
+    scalar = np.random.default_rng(9)
+    block = np.random.default_rng(9).integers(0, np.arange(start + 1, start + 6001))
+    assert block.tolist() == [int(scalar.integers(0, k + 1)) for k in range(start, start + 6000)]
+
+
 def test_sweep_oracle_and_both():
     s = example_scheme()
     rep = sweep_security(s, 1, 1, all_sizes=True, method="both", oracle_cap=10**6)
@@ -418,7 +431,8 @@ def oracle_maps(s, p, width):
     keys = [np.hstack([np.zeros((m.cols, n_w), dtype=np.int64), m.a.T])
             for m in map(s.user_key_map, p.users)]
     c = np.vstack([eye[(i - 1) * n:i * n] for i in p.users] + keys + [eye[:0]])
-    v = adversary_view(s, p).coefficients.a
+    view = adversary_view(s, p)
+    v = np.hstack([view.c_w.a, view.c_r.a])
     return [np.kron(m, np.eye(width, dtype=np.int64)) for m in (eye[:n_w], v, c)]
 
 
@@ -528,6 +542,41 @@ def test_rank_leak_matches_four_rank_formula(case):
     for s in (clean, tampered(clean), keyless(clean), with_key_map(clean, random_map)):
         for pat in iter_patterns(s.topology, t_h, t_u, all_sizes=True):
             expected = four_rank_leak(*oracle_maps(s, pat, 1), s.field.q)
+            assert rank_leak(s, pat) == expected, (case, pat)
+            leaks += expected > 0
+    assert leaks > 0
+
+
+def wire_maps(s, wire, p):
+    """U, V and C as oracle_maps builds them, with V read from the wire."""
+    u, _, c = oracle_maps(s, p, 1)
+    v = [np.hstack(wire[(i, j)]) for j in p.relays for i in s.topology.relay_links[j - 1]]
+    return u, np.array(v, dtype=np.int64).reshape(-1, u.shape[1]), c
+
+
+@pytest.mark.parametrize("case", list(FOUR_RANK_CASES))
+def test_rank_leak_matches_four_rank_formula_on_random_encoders(case):
+    # the trimmed stack must not rest on invertible encoders or on the
+    # built key map: every other user gets a singular encoder
+    build, t_h, t_u = FOUR_RANK_CASES[case]
+    clean = build()
+    q, n = clean.field.q, clean.topology.n
+    rng = np.random.default_rng(5)
+    leaks = 0
+    for _ in range(2):
+        encoders = []
+        for i in range(clean.topology.N):
+            e = rng.integers(0, q, (n, n))
+            if i % 2:
+                e[-1] = rng.integers(0, q) * e[:-1].sum(axis=0) % q
+            encoders.append(FieldMatrix(clean.field, e))
+        s = dataclasses.replace(clean, encoders=tuple(encoders),
+                                key_map=FieldMatrix(clean.field, rng.integers(
+                                    0, q, clean.key_map.a.shape)))
+        assert any(e.rank() < n for e in s.encoders)
+        wire, _ = symbolic_messages(s)
+        for pat in iter_patterns(s.topology, t_h, t_u, all_sizes=True):
+            expected = four_rank_leak(*wire_maps(s, wire, pat), q)
             assert rank_leak(s, pat) == expected, (case, pat)
             leaks += expected > 0
     assert leaks > 0
