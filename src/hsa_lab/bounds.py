@@ -75,7 +75,7 @@ def comm_lower(top: Topology) -> tuple[Fraction, Fraction]:
     return (b, b)
 
 
-def feasibility(top: Topology, t_h: int, t_u: int) -> bool:
+def feasibility(top: Topology, t_h: int, t_u: int, cap: int = 10**8) -> bool:
     """Whether a secure scheme at per-link load 1/n can exist at all.
 
     Infeasible iff t_h >= K - n + 1, or t_u reaches the collusion
@@ -84,6 +84,7 @@ def feasibility(top: Topology, t_h: int, t_u: int) -> bool:
 
     Raises:
         InvalidArgument: unless t_h >= 1 and t_u >= 0.
+        TooLargeToEnumerate: from collusion_threshold, past cap.
     """
     if t_h < 1:
         raise InvalidArgument("at least one colluding relay is assumed (t_h >= 1)")
@@ -91,7 +92,7 @@ def feasibility(top: Topology, t_h: int, t_u: int) -> bool:
         raise InvalidArgument("t_u must be nonnegative")
     if t_h >= top.K - top.n + 1:
         return False
-    if t_u >= collusion_threshold(top, t_h):
+    if t_u >= collusion_threshold(top, t_h, cap):
         return False
     return True
 
@@ -129,9 +130,9 @@ def _key_bounds(top: Topology, t_h: int, t_u: int) -> tuple[Fraction, Optional[F
     return rz, rzsigma
 
 
-def bounds_report(top: Topology, t_h: int, t_u: int) -> BoundsReport:
-    """Assemble the full feasibility-plus-lower-bounds verdict."""
-    feas = feasibility(top, t_h, t_u)
+def bounds_report(top: Topology, t_h: int, t_u: int, cap: int = 10**8) -> BoundsReport:
+    """Assemble the full feasibility-plus-lower-bounds verdict (cap as in feasibility)."""
+    feas = feasibility(top, t_h, t_u, cap)
     if not feas:
         return BoundsReport(
             feasible=False,

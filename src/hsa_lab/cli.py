@@ -26,7 +26,6 @@ from .errors import (
     HsaLabError,
     InvalidArgument,
     ProtocolViolation,
-    TooLargeToEnumerate,
     as_int,
 )
 from .gf import FieldMatrix, PrimeField
@@ -332,7 +331,7 @@ def _converse_block(cfg: RunConfig, scheme: Scheme,
 
 def report_document(cfg: RunConfig, all_sizes: Optional[bool]) -> tuple[dict, bool]:
     t0 = time.monotonic()
-    lower = bounds_mod.bounds_report(cfg.topology, cfg.t_h, cfg.t_u)
+    lower = bounds_mod.bounds_report(cfg.topology, cfg.t_h, cfg.t_u, cap=cfg.enumeration_cap)
     doc = {**bounds_fragment(cfg, lower), "schema": REPORT_SCHEMA}
     if not lower.feasible:
         doc["verdict"] = "infeasible"
@@ -361,7 +360,8 @@ def report_document(cfg: RunConfig, all_sizes: Optional[bool]) -> tuple[dict, bo
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     out = _output_path(args.out)
-    frag = bounds_fragment(cfg, bounds_mod.bounds_report(cfg.topology, cfg.t_h, cfg.t_u))
+    frag = bounds_fragment(cfg, bounds_mod.bounds_report(cfg.topology, cfg.t_h, cfg.t_u,
+                                                         cap=cfg.enumeration_cap))
     dump_json(frag, out)
     if args.expect_feasible and frag["feasibility"]["verdict"] != "feasible":
         return _EXIT_VERIFICATION
@@ -470,7 +470,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except HsaLabError as exc:
-        if isinstance(exc, (ConstructionFailed, ProtocolViolation, TooLargeToEnumerate)):
+        # work past a cap the run cannot skip is the config's to change: exit 2
+        if isinstance(exc, (ConstructionFailed, ProtocolViolation)):
             print(f"run failed: {exc}", file=sys.stderr)
             return _EXIT_VERIFICATION
         print(f"configuration error: {exc}", file=sys.stderr)

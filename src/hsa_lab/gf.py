@@ -139,9 +139,6 @@ class FieldMatrix:
     def row(self, r: int) -> np.ndarray:
         return self.a[r]
 
-    def take_rows(self, idx: Sequence[int]) -> "FieldMatrix":
-        return FieldMatrix._wrap(self.field, self.a[list(idx), :])
-
     def take_cols(self, idx: Sequence[int]) -> "FieldMatrix":
         return FieldMatrix._wrap(self.field, self.a[:, list(idx)])
 
@@ -187,7 +184,7 @@ class FieldMatrix:
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.a.shape} by {other.a.shape}")
-        return FieldMatrix._wrap(self.field, _matmul(self.a, other.a, self.field.q))
+        return FieldMatrix._wrap(self.field, _matmul(self.field.q, (self.a, other.a)))
 
     # -- linear algebra ----------------------------------------------------
 
@@ -224,11 +221,18 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    # int64 products are exact as long as the accumulated dot cannot overflow
-    if (q - 1) * (q - 1) * a.shape[1] <= _INT64_MAX:
-        return _reduce(a @ b, q)
-    return ((a.astype(object) @ b.astype(object)) % q).astype(np.int64)
+def _matmul(q: int, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Sum of a @ b over the (a, b) terms, mod q, reduced once while the int64 sum is
+    exact; past that, of the terms reduced one by one (a lone term: by object dtype)."""
+    fits = (q - 1) * (q - 1) * sum(a.shape[1] for a, _ in terms) <= _INT64_MAX
+    if not fits and len(terms) == 1:
+        return ((terms[0][0].astype(object) @ terms[0][1].astype(object)) % q).astype(np.int64)
+    # einsum runs int64 products with thousands of columns about twice as fast as `@`
+    parts = (np.einsum("ij,jk->ik", a, b) if fits else _matmul(q, (a, b)) for a, b in terms)
+    total = next(parts)
+    for part in parts:
+        total += part
+    return _reduce(total, q)
 
 
 def _echelon_pivots(a: np.ndarray, q: int) -> list[int]:

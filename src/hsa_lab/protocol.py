@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolViolation, ShapeError
-from .gf import FieldMatrix, _reduce
+from .gf import FieldMatrix, _matmul, _reduce
 from .schemes import KeyMaterial, Scheme, sample_keys
 
 _TRANSCRIPT_SCHEMA = "hsa-lab/transcript/1"
@@ -43,7 +43,8 @@ class Transcript:
 
 
 def user_encode(s: Scheme, user: int, w: FieldMatrix, keys: KeyMaterial) -> dict[int, np.ndarray]:
-    """Messages user -> relay for one user: encoded input plus its key mask.
+    """Messages user -> relay for one user: encoded input plus its key mask, with both
+    products summed in one reduction; each message is a read-only row of that sum.
 
     Raises:
         ShapeError: if the input block is not n x width.
@@ -54,7 +55,8 @@ def user_encode(s: Scheme, user: int, w: FieldMatrix, keys: KeyMaterial) -> dict
     if (w.rows, w.cols) != (top.n, keys.width):
         raise ShapeError(f"input of user {user} must be {top.n}x{keys.width}")
     # n x width, rows indexed by the user's sorted relays
-    sent = s.encoders[user - 1] @ w + s.key_spread(user).T @ keys.per_user[user - 1]
+    enc, spread, z = s.encoders[user - 1].a, s.key_spreads[user - 1].a, keys.per_user[user - 1].a
+    sent = FieldMatrix._wrap(s.field, _matmul(s.field.q, (enc, w.a), (spread.T, z)))
     return {relay: sent.row(pos) for pos, relay in enumerate(top.user_links[user - 1])}
 
 
@@ -72,11 +74,7 @@ def relay_aggregate(s: Scheme, relay: int, incoming: dict[int, np.ndarray]) -> n
         raise ProtocolViolation(
             f"relay {relay} expected users {sorted(expected)}, got {sorted(incoming)}")
     # m entries below q <= 2**31 sum exactly in int64, so one reduction suffices
-    msgs = iter(incoming.values())
-    total = next(msgs).astype(np.int64)
-    for v in msgs:
-        total += v
-    return _reduce(total, s.field.q)
+    return _reduce(sum(incoming.values(), np.int64(0)), s.field.q)
 
 
 def server_decode(s: Scheme, y: dict[int, np.ndarray]) -> FieldMatrix:
@@ -88,15 +86,13 @@ def server_decode(s: Scheme, y: dict[int, np.ndarray]) -> FieldMatrix:
     top = s.topology
     if set(y) != set(range(1, top.K + 1)):
         raise ProtocolViolation("server needs a message from every relay")
-    stacked = FieldMatrix(s.field, np.vstack([y[j] for j in range(1, top.K + 1)]))  # K x width
-    return s.decode_matrix @ stacked
+    # K x width; relay outputs are residues, like the messages relay_aggregate sums
+    stacked = np.vstack([y[j] for j in range(1, top.K + 1)], dtype=np.int64)
+    return FieldMatrix._wrap(s.field, _matmul(s.field.q, (s.decode_matrix.a, stacked)))
 
 
 def direct_sum(s: Scheme, inputs) -> FieldMatrix:
-    total = inputs[0]
-    for w in inputs[1:]:
-        total = total + w
-    return total
+    return FieldMatrix._wrap(s.field, _reduce(sum(w.a for w in inputs), s.field.q))
 
 
 def run_round(s: Scheme, inputs, width: int = 1, seed: int = 0,

@@ -2,7 +2,7 @@
 
 Every scheme is a key generator composed with a fixed placement of each
 user's key symbols on its n links.  `key_map` sends the seed vector to the
-user keys; `Scheme.key_spread` places one user's keys on its links, and
+user keys; `Scheme.key_spreads` place each user's keys on its links, and
 `Scheme.link_keys` is the derived map from seeds to link keys that the
 protocol and every certificate read.  Two families are built here:
 
@@ -101,12 +101,13 @@ class Scheme:
         """Columns of the decoding matrix indexed by the user's relays."""
         return self.decode_matrix.take_cols([j - 1 for j in self.topology.user_links[user - 1]])
 
-    def key_spread(self, user: int) -> FieldMatrix:
-        """keys_per_user x n placement of the user's keys on its sorted links."""
+    @cached_property
+    def key_spreads(self) -> tuple[FieldMatrix, ...]:
+        """Per user, the keys_per_user x n placement of its keys on its sorted links."""
         if self.variant == VARIANT_LINK_KEYS:
-            return gf.identity(self.field, self.topology.n)
-        relays = [j - 1 for j in self.topology.user_links[user - 1]]
-        return FieldMatrix(self.field, self.key_weights.a[[user - 1]][:, relays])
+            return (gf.identity(self.field, self.topology.n),) * self.topology.N
+        return tuple(FieldMatrix(self.field, [self.key_weights.a[i, [j - 1 for j in links]]])
+                     for i, links in enumerate(self.topology.user_links))
 
     def user_key_map(self, user: int) -> FieldMatrix:
         """Seeds x keys_per_user map from the seed vector to one user's keys."""
@@ -116,7 +117,7 @@ class Scheme:
     @cached_property
     def link_keys(self) -> FieldMatrix:
         """Seeds x N*n map from the seed vector to every link key, user-major."""
-        return gf.hstack([self.user_key_map(i) @ self.key_spread(i)
+        return gf.hstack([self.user_key_map(i) @ self.key_spreads[i - 1]
                           for i in range(1, self.topology.N + 1)])
 
     @cached_property
@@ -513,10 +514,12 @@ def build_scheme_c(n_users: int, field: PrimeField) -> Scheme:
 
 
 def derive_user_keys(s: Scheme, seeds: FieldMatrix) -> KeyMaterial:
-    """Deterministically derive every user's keys from explicit seed columns."""
+    """Every user's keys from explicit seed columns: user i's are the i-th block of
+    keys_per_user rows of one product key_map^T @ seeds, user_key_map(i)^T @ seeds."""
     if seeds.rows != s.seed_count:
         raise ShapeError(f"expected {s.seed_count} seed rows, got {seeds.rows}")
-    per_user = tuple(s.user_key_map(i).T @ seeds for i in range(1, s.topology.N + 1))
+    keys = (s.key_map.T @ seeds).a
+    per_user = tuple(FieldMatrix._wrap(s.field, z) for z in np.split(keys, s.topology.N))
     return KeyMaterial(seeds=seeds, per_user=per_user)
 
 

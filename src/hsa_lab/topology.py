@@ -8,11 +8,12 @@ coordinate order of every length-n vector indexed by them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .errors import InvalidArgument, InvalidTopology, as_int
+from .errors import InvalidArgument, InvalidTopology, TooLargeToEnumerate, as_int
 
 
 def _wrap(a: int, k: int) -> int:
@@ -144,7 +145,7 @@ def build_tree(n_relays: int, users_per_relay: int) -> Topology:
     return build_explicit(n_relays * users_per_relay, n_relays, links)
 
 
-def collusion_threshold(top: Topology, t_h: int) -> int:
+def collusion_threshold(top: Topology, t_h: int, cap: int = 10**8) -> int:
     """Minimum user count covering some set of K - t_h - n + 1 relays.
 
     This is the user-collusion feasibility boundary: a scheme at per-link
@@ -162,6 +163,7 @@ def collusion_threshold(top: Topology, t_h: int) -> int:
 
     Raises:
         InvalidArgument: unless 0 < t_h <= K - n.
+        TooLargeToEnumerate: if that search has more than cap subsets.
     """
     if not 0 < t_h <= top.K - top.n:
         raise InvalidArgument(f"t_h={t_h} outside (0, K-n] = (0, {top.K - top.n}]")
@@ -169,6 +171,8 @@ def collusion_threshold(top: Topology, t_h: int) -> int:
     if rest == 0 and top == build_multiple_cyclic(top.K, top.n, copies):
         return copies * (top.K - t_h)
     size = top.K - t_h - top.n + 1
+    if math.comb(top.K, size) > cap:
+        raise TooLargeToEnumerate(f"collusion threshold: C({top.K}, {size}) subsets > cap {cap}")
     best = top.N + 1
     for subset in combinations(range(top.K), size):
         union: set[int] = set()

@@ -36,7 +36,7 @@ from .gf import FieldMatrix, PrimeField
 from .protocol import run_round
 from .schemes import Scheme, derive_user_keys, link_key_constraint_ok
 
-_CHUNK_ROWS = 1 << 16
+_CHUNK_COLUMNS = 1 << 16
 _DRAW_BLOCK = 4096  # reservoir replacement indices drawn per call
 
 
@@ -106,7 +106,7 @@ def rank_leak(s: Scheme, p: CollusionPattern) -> int:
 
     * a colluder's message row leaves it: its input part lies in deleted
       columns, and its seed part, its link key, is a combination of the
-      colluder's key rows (link_keys = user_key_map @ key_spread), so it is
+      colluder's key rows (link_keys = user_key_map @ key_spreads), so it is
       in the row space of [K_c | 0] and moves neither rank;
     * the input columns of a free user with no link in the view leave it:
       they are zero in every row, and a zero column never pivots.
@@ -137,16 +137,16 @@ def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
 
 
 def _assignments(q: int, n_vars: int) -> Iterator[np.ndarray]:
-    """All q**n_vars assignments in row-major order, in chunks: each is one value of
-    the high digits over all q**k low-digit rows, k the most digits with q**k <= 2**16."""
+    """All q**n_vars assignments in row-major order, as columns of C-contiguous (n_vars, q**k)
+    chunks (k maximal with q**k <= 2**16): one per high-digit value over the low block."""
     k = 0
-    while k < n_vars and q ** (k + 1) <= _CHUNK_ROWS:
+    while k < n_vars and q ** (k + 1) <= _CHUNK_COLUMNS:
         k += 1
-    low = np.indices((q,) * k, dtype=np.int64).reshape(k, q ** k).T
+    low = np.indices((q,) * k, dtype=np.int64).reshape(k, q ** k)
     for high in np.ndindex((q,) * (n_vars - k)):
-        chunk = np.empty((low.shape[0], n_vars), dtype=np.int64)
-        chunk[:, :n_vars - k] = high
-        chunk[:, n_vars - k:] = low
+        chunk = np.empty((n_vars, low.shape[1]), dtype=np.int64)
+        chunk[:n_vars - k] = np.array(high, dtype=np.int64)[:, None]
+        chunk[n_vars - k:] = low
         yield chunk
 
 
@@ -316,7 +316,7 @@ def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
     if samples is None:
         if q ** n_vars > cap:
             raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
-        sim_ok = all(_simulate_columns(s, chunk.T) for chunk in _assignments(q, n_vars))
+        sim_ok = all(_simulate_columns(s, chunk) for chunk in _assignments(q, n_vars))
     else:
         rng = np.random.default_rng(seed)
         columns = rng.integers(0, q, size=(n_vars, samples * width), dtype=np.int64)
@@ -428,6 +428,11 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
         all_sizes = s.topology.N <= 6 and s.topology.K <= 6
     total = count_patterns(s.topology, t_h, t_u, all_sizes)
     report = SweepReport(method=method, all_sizes=all_sizes, total_patterns=total)
+    if method == "oracle" and s.field.q ** ((len(s.links) + s.seed_count) * width) > oracle_cap:
+        # mi_oracle's cap does not depend on the pattern: skip them all unbuilt
+        report.checked = report.skipped_cap = min(total, budget)
+        report.subsampled = total > budget
+        return report
     if total > budget:
         patterns: Iterable[CollusionPattern] = _reservoir(
             _pattern_tuples(s.topology, t_h, t_u, all_sizes), budget, seed)

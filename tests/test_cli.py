@@ -59,6 +59,18 @@ def test_bounds_infeasible_expect_flag(tmp_path, capsys):
     assert main(["bounds", "--config", str(cfg), "--expect-feasible"]) == 1
 
 
+@pytest.mark.parametrize("command", ["bounds", "report"])
+def test_threshold_search_over_the_cap_exits_2(tmp_path, capsys, command):
+    # cyclic(4, 2) with its users listed in reverse: the threshold search at
+    # t_h = 1 has C(4, 2) = 6 relay subsets, one more than the cap
+    cfg = write_config(tmp_path, caps={"enumeration": 5}, topology={
+        "kind": "explicit", "N": 4, "K": 4, "user_links": [[1, 4], [3, 4], [2, 3], [1, 2]]})
+    assert main([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("configuration error: collusion threshold: C(4, 2)")
+
+
 def test_bounds_tree_reference(tmp_path, capsys):
     cfg = write_config(tmp_path, topology={"kind": "tree", "U": 2, "V": 2},
                        security={"t_h": 1, "t_u": 4}, field_q=7)

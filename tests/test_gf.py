@@ -90,6 +90,29 @@ def test_matmul_large_modulus_exact():
     assert (a @ b).tolist() == [[expected]]
 
 
+@pytest.mark.parametrize("q", [2, 13, 65537, 2**31 - 1])
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 4), st.lists(st.integers(0, 4), min_size=1, max_size=3),
+       st.data())
+def test_fused_matmul_is_the_exact_sum_of_products(q, rows, cols, inners, data):
+    # at 2**31 - 1 an inner total of 3 or more leaves int64: each term is then
+    # reduced alone, by the object path if its own inner dimension is 3 or more
+    field = PrimeField(q)
+    terms = [(drawn_matrix(data, field, rows, k).a, drawn_matrix(data, field, k, cols).a)
+             for k in inners]
+    expected = sum(a.astype(object) @ b.astype(object) for a, b in terms) % q
+    got = gf._matmul(q, *terms)
+    assert got.dtype == np.int64 and got.tolist() == expected.tolist()
+
+
+def test_fused_matmul_is_exact_at_the_int64_edge():
+    # at 2**31 - 1 an inner total of 2 still sums in int64, one of 3 does not
+    q = 2**31 - 1
+    for inners in ([1, 1], [1, 2], [2, 2], [3], [1, 1, 1]):
+        terms = [(np.full((1, k), q - 1), np.full((k, 1), q - 1)) for k in inners]
+        assert gf._matmul(q, *terms).tolist() == [[sum(inners) * (q - 1) ** 2 % q]]
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_inverse_matrix_example(q):
     field = PrimeField(q)
@@ -182,9 +205,8 @@ def test_internal_results_meet_the_edge_contract(q, r, c, k, data):
     # results wrapped without a copy must be what the public constructor would build
     field = PrimeField(q)
     a, b = drawn_matrix(data, field, r, c), drawn_matrix(data, field, r, c)
-    rows = data.draw(st.lists(st.integers(0, r - 1), max_size=4)) if r else []
     cols = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
-    results = [a.T, a.take_rows(rows), a.take_cols(cols), gf.hstack([a, b]),
+    results = [a.T, a.take_cols(cols), gf.hstack([a, b]),
                gf.vstack([a, b]), a + b, a - b, -a, a @ drawn_matrix(data, field, c, k)]
     try:
         results.append(drawn_matrix(data, field, c, c).inverse())

@@ -203,7 +203,7 @@ def test_generator_blocks_killed_by_nullspace_columns():
     k = top.K
     block_sum = FieldMatrix(s.field, (s.key_map.a[:, :k] + s.key_map.a[:, k:]) % s.field.q)
     # the weighted decode columns span the summed generator's right nullspace
-    prod = block_sum @ (s.key_weights.take_rows(range(k)) @ s.decode_matrix.T)
+    prod = block_sum @ (FieldMatrix(s.field, s.key_weights.a[:k]) @ s.decode_matrix.T)
     assert prod.is_zero()
     # its right nullspace has k - seed_count columns exactly when it has full row rank
     assert block_sum.rank() == s.seed_count
@@ -273,6 +273,19 @@ def test_derived_keys_follow_key_map():
         assert keys.per_user[i - 1] == expected
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_derive_user_keys_equals_the_per_user_products(width):
+    # variant A has n key rows per user, so its slices are blocks of several rows
+    rng = np.random.default_rng(width)
+    for s in (example_scheme(7), build_scheme_a(build_multiple_cyclic(4, 3, 2), F13, seed=2),
+              build_scheme_b(build_cyclic(6, 2), F13, 2, seed=0), build_scheme_c(5, F7)):
+        seeds = FieldMatrix(s.field, rng.integers(0, s.field.q, (s.seed_count, width)))
+        keys = derive_user_keys(s, seeds)
+        assert keys.seeds == seeds
+        assert keys.per_user == tuple(s.user_key_map(i).T @ seeds
+                                      for i in range(1, s.topology.N + 1))
+
+
 def test_scheme_serialization_roundtrip():
     for s in (example_scheme(5),
               build_scheme_b(build_cyclic(6, 2), F13, 2, seed=0),
@@ -299,4 +312,4 @@ def test_one_certificate_for_every_variant():
             assert link_key_constraint_ok(candidate) == cancels
             if candidate.variant == "BL":
                 assert check_weighted_conditions(candidate).masks_cancel == cancels
-        assert rates(s).r_z == Fraction(s.key_spread(1).rows, s.topology.n)
+        assert rates(s).r_z == Fraction(s.key_spreads[0].rows, s.topology.n)

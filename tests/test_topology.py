@@ -1,6 +1,6 @@
 import pytest
 
-from hsa_lab.errors import InvalidArgument, InvalidTopology
+from hsa_lab.errors import InvalidArgument, InvalidTopology, TooLargeToEnumerate
 from hsa_lab.topology import (
     Topology,
     build_cyclic,
@@ -109,6 +109,23 @@ def test_collusion_threshold_matches_oracle_and_is_monotone(top):
         assert top.m <= v <= top.N
         values.append(v)
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def test_collusion_threshold_search_is_capped():
+    # cyclic(4, 2) with its users listed in reverse takes the exhaustive path:
+    # C(4, 2) = 6 relay subsets at t_h = 1, C(4, 3) = 4 for a tree at t_h = 1
+    top = build_explicit(4, 4, [[1, 4], [3, 4], [2, 3], [1, 2]])
+    assert collusion_threshold(top, 1, cap=6) == brute_collusion_threshold(top, 1)
+    for top, cap in ((top, 5), (build_tree(4, 2), 3)):
+        with pytest.raises(TooLargeToEnumerate):
+            collusion_threshold(top, 1, cap=cap)
+
+
+@pytest.mark.parametrize("top, t_h", [(build_cyclic(30, 2), 14),
+                                      (build_multiple_cyclic(7, 3, 2), 2)])
+def test_cyclic_collusion_threshold_ignores_the_cap(top, t_h):
+    # the closed form visits no subset: C(30, 15) would take minutes
+    assert collusion_threshold(top, t_h, cap=1) == top.N // top.K * (top.K - t_h)
 
 
 @pytest.mark.parametrize("k", range(3, 13))

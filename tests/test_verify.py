@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsa_lab import gf
+from hsa_lab import gf, verify
 from hsa_lab.errors import InvalidArgument, TooLargeToEnumerate
 from hsa_lab.gf import FieldMatrix, PrimeField
 from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme_c
 from hsa_lab.topology import build_cyclic, build_multiple_cyclic, build_tree
 from hsa_lab.verify import (
     CollusionPattern,
+    SweepReport,
     _assignments,
     _pattern_tuples,
     _reservoir,
@@ -232,8 +233,9 @@ def test_oracle_agrees_with_rank_both_ways():
                                        (2, 17), (257, 2)])
 def test_assignments_are_the_row_major_enumeration(q, n_vars):
     chunks = list(_assignments(q, n_vars))
-    assert all(1 <= chunk.shape[0] <= 1 << 16 for chunk in chunks)
-    assert np.array_equal(np.vstack(chunks), _all_states(q, n_vars))
+    assert all(chunk.shape[0] == n_vars and 1 <= chunk.shape[1] <= 1 << 16 for chunk in chunks)
+    assert all(chunk.flags.c_contiguous for chunk in chunks)
+    assert np.array_equal(np.hstack(chunks).T, _all_states(q, n_vars))
 
 
 def test_decodability_exhaustive_small():
@@ -357,6 +359,43 @@ def test_sweep_both_decides_oracle_skips_by_rank():
         assert (both.passed, both.failed, both.first_failure) == \
             (rank.passed, rank.failed, rank.first_failure)
     assert rank.failed > 0
+
+
+def capped_oracle_sweep(s, t_h, t_u, budget, all_sizes, cap, seed):
+    """The oracle sweep's per-pattern loop where every mi_oracle call hits the cap."""
+    total = count_patterns(s.topology, t_h, t_u, all_sizes)
+    rep = SweepReport(method="oracle", all_sizes=all_sizes, total_patterns=total,
+                      subsampled=total > budget)
+    patterns = (_reservoir(_pattern_tuples(s.topology, t_h, t_u, all_sizes), budget, seed)
+                if rep.subsampled else iter_patterns(s.topology, t_h, t_u, all_sizes))
+    for pat in patterns:
+        with pytest.raises(TooLargeToEnumerate):
+            mi_oracle(s, pat, cap=cap)
+        rep.checked += 1
+        rep.skipped_cap += 1
+    return rep
+
+
+@pytest.mark.parametrize("make, t_h, t_u, all_sizes, budget", [
+    (example_scheme, 1, 1, True, 1000),
+    (example_scheme, 1, 1, True, 5),
+    (lambda: keyless(example_scheme()), 1, 1, False, 4),
+    (lambda: build_scheme_a(build_cyclic(12, 3), PrimeField(13), seed=0), 2, 3, False, 100),
+])
+def test_capped_oracle_sweep_equals_the_per_pattern_loop(monkeypatch, make, t_h, t_u,
+                                                         all_sizes, budget):
+    s = make()
+    expected = capped_oracle_sweep(s, t_h, t_u, budget, all_sizes, 10, 3)
+    assert expected.checked == min(expected.total_patterns, budget)
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a capped oracle sweep built or sampled a pattern")
+
+    monkeypatch.setattr(verify, "_pattern_tuples", unreachable)
+    monkeypatch.setattr(verify, "mi_oracle", unreachable)
+    got = sweep_security(s, t_h, t_u, budget=budget, all_sizes=all_sizes, method="oracle",
+                         oracle_cap=10, seed=3)
+    assert got == expected
 
 
 # -- enumerated entropy -------------------------------------------------------------
