@@ -1,16 +1,19 @@
 """Exact arithmetic over prime fields F_q and dense linear algebra on top of it.
 
-Matrices are read-only numpy int64 arrays of residues in [0, q).  Validate at
-the edge, trust inside: the public FieldMatrix constructor copies, checks and
-reduces its input; the results built here are wrapped without a copy.  All
-operations are exact: products route through an overflow-safe path, and
-elimination pivots deterministically (leftmost nonzero column, first row with
-a nonzero entry at or below the row pointer).  Ranks, pivot lists and minor
-checks use fraction-free forward elimination, which needs no inverses: a row
-below the pivot becomes pivot * row - entry * pivot_row, exact in int64 since
+Matrices are read-only numpy arrays of residues in [0, q).  Validate at the
+edge, trust inside: the public FieldMatrix constructor copies, checks and
+reduces its input into int64; the results built here are signed integer
+residues wrapped without a copy, int64 except in the round simulator: its
+`_matmul` and `_sum` compute in the first of int8/int16/int32/int64 that is no
+narrower than their narrowest operand and holds their bound.  All operations
+are exact: products route through an overflow-safe path, and elimination
+pivots deterministically (leftmost nonzero column, first row with a nonzero
+entry at or below the row pointer).  Ranks, pivot lists and minor checks use
+fraction-free forward elimination, which needs no inverses: a row below the
+pivot becomes pivot * row - entry * pivot_row, exact in int64 since
 q <= 2**31.  A reduced form, and with it a modular inverse per pivot, is built
 only by `inverse`.  Every reduction whose size grows with columns or minors
-(the constructor, `+`, negation, int64 products, the minor-stack update) goes
+(the constructor, sums, negation, products, the minor-stack update) goes
 through `_reduce`, x - (x // q) * q, which numpy vectorizes where it does not
 vectorize `%`; the two single-matrix elimination loops keep `%`, since their
 updates touch a few hundred entries, where one `%` costs less than three
@@ -36,6 +39,7 @@ from .errors import (
 
 _MAX_Q = 2**31
 _INT64_MAX = 2**63 - 1
+_SIGNED = tuple(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64))
 _MINOR_CHUNK = 4096  # minors judged per batch by mds_check
 
 
@@ -112,7 +116,7 @@ class FieldMatrix:
 
     @classmethod
     def _wrap(cls, field: PrimeField, arr: np.ndarray) -> "FieldMatrix":
-        """No-copy constructor: arr is 2-d int64, reduced mod q, never written again."""
+        """No-copy constructor: arr is 2-d signed integer, reduced mod q, never written again."""
         arr.flags.writeable = False
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
@@ -157,31 +161,20 @@ class FieldMatrix:
         )
 
     def __hash__(self):
-        return hash((self.field.q, self.a.shape, self.a.tobytes()))
+        # equal matrices may hold different dtypes, so hash the int64 bytes
+        return hash((self.field.q, self.a.shape, self.a.astype(np.int64, copy=False).tobytes()))
 
     def __repr__(self):
         return f"FieldMatrix({self.field}, {self.a.tolist()})"
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_field(self, other: "FieldMatrix"):
-        if self.field != other.field:
-            raise ShapeError("operands live in different fields")
-
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
-        if self.a.shape != other.a.shape:
-            raise ShapeError(f"shape mismatch {self.a.shape} + {other.a.shape}")
-        return FieldMatrix._wrap(self.field, _reduce(self.a + other.a, self.field.q))
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        return self + (-other)
-
     def __neg__(self) -> "FieldMatrix":
         return FieldMatrix._wrap(self.field, _reduce(-self.a, self.field.q))
 
     def __matmul__(self, other: "FieldMatrix") -> "FieldMatrix":
-        self._check_same_field(other)
+        if self.field != other.field:
+            raise ShapeError("operands live in different fields")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.a.shape} by {other.a.shape}")
         return FieldMatrix._wrap(self.field, _matmul(self.field.q, (self.a, other.a)))
@@ -209,11 +202,11 @@ class FieldMatrix:
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
-    """Reduce the int64 array x mod q in place and return it; x must be fresh.
+    """Reduce the signed integer array x mod q in place and return it; x must be fresh.
 
     numpy vectorizes floor division by a scalar but not `%`, so this is the
     faster form on large arrays.  It equals Python's `%` entry by entry: `//`
-    floors, and an int64 wrap in `t *= q` cancels in `x -= t`.
+    floors, and a wrap in `t *= q` cancels in `x -= t`.
     """
     t = x // q
     t *= q
@@ -221,13 +214,40 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
     return x
 
 
+def _narrowest(bound: int, floor: np.dtype = _SIGNED[0]) -> np.dtype:
+    """The first of int8/int16/int32/int64, no narrower than floor, whose maximum
+    holds bound; int64 if none does."""
+    return next((t for t in _SIGNED if t.itemsize >= floor.itemsize and bound <= np.iinfo(t).max),
+                _SIGNED[-1])
+
+
+def _dtype_for(bound: int, arrays) -> np.dtype:
+    """`_narrowest(bound)` no narrower than the narrowest of the arrays' dtypes.
+
+    bound is at least q - 1 unless the arrays are empty, so the dtype holds
+    every residue, and the wider operands can be cast down to it."""
+    return _narrowest(bound, min((x.dtype for x in arrays), key=lambda d: d.itemsize))
+
+
+def _sum(q: int, arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """Sum of the residue arrays mod q, reduced once, in `_dtype_for(count * (q - 1))`."""
+    total = arrays[0].astype(_dtype_for(len(arrays) * (q - 1), arrays))
+    for x in arrays[1:]:
+        total += x
+    return _reduce(total, q)
+
+
 def _matmul(q: int, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Sum of a @ b over the (a, b) terms, mod q, reduced once while the int64 sum is
-    exact; past that, of the terms reduced one by one (a lone term: by object dtype)."""
-    fits = (q - 1) * (q - 1) * sum(a.shape[1] for a, _ in terms) <= _INT64_MAX
+    """Sum of a @ b over the (a, b) terms, mod q, reduced once while the sum is exact,
+    in `_dtype_for((q - 1)**2 * sum of inner sizes)`; past int64, of the terms
+    reduced one by one (a lone term: by object dtype)."""
+    bound = (q - 1) * (q - 1) * sum(a.shape[1] for a, _ in terms)
+    dt = _dtype_for(bound, [x for term in terms for x in term])
+    terms = tuple((a.astype(dt, copy=False), b.astype(dt, copy=False)) for a, b in terms)
+    fits = bound <= _INT64_MAX
     if not fits and len(terms) == 1:
         return ((terms[0][0].astype(object) @ terms[0][1].astype(object)) % q).astype(np.int64)
-    # einsum runs int64 products with thousands of columns about twice as fast as `@`
+    # einsum runs integer products with thousands of columns about twice as fast as `@`
     parts = (np.einsum("ij,jk->ik", a, b) if fits else _matmul(q, (a, b)) for a, b in terms)
     total = next(parts)
     for part in parts:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolViolation, ShapeError
-from .gf import FieldMatrix, _matmul, _reduce
+from .gf import FieldMatrix, _matmul, _sum
 from .schemes import KeyMaterial, Scheme, sample_keys
 
 _TRANSCRIPT_SCHEMA = "hsa-lab/transcript/1"
@@ -73,8 +73,7 @@ def relay_aggregate(s: Scheme, relay: int, incoming: dict[int, np.ndarray]) -> n
     if set(incoming) != expected:
         raise ProtocolViolation(
             f"relay {relay} expected users {sorted(expected)}, got {sorted(incoming)}")
-    # m entries below q <= 2**31 sum exactly in int64, so one reduction suffices
-    return _reduce(sum(incoming.values(), np.int64(0)), s.field.q)
+    return _sum(s.field.q, list(incoming.values()))
 
 
 def server_decode(s: Scheme, y: dict[int, np.ndarray]) -> FieldMatrix:
@@ -87,12 +86,12 @@ def server_decode(s: Scheme, y: dict[int, np.ndarray]) -> FieldMatrix:
     if set(y) != set(range(1, top.K + 1)):
         raise ProtocolViolation("server needs a message from every relay")
     # K x width; relay outputs are residues, like the messages relay_aggregate sums
-    stacked = np.vstack([y[j] for j in range(1, top.K + 1)], dtype=np.int64)
+    stacked = np.vstack([y[j] for j in range(1, top.K + 1)])
     return FieldMatrix._wrap(s.field, _matmul(s.field.q, (s.decode_matrix.a, stacked)))
 
 
 def direct_sum(s: Scheme, inputs) -> FieldMatrix:
-    return FieldMatrix._wrap(s.field, _reduce(sum(w.a for w in inputs), s.field.q))
+    return FieldMatrix._wrap(s.field, _sum(s.field.q, [w.a for w in inputs]))
 
 
 def run_round(s: Scheme, inputs, width: int = 1, seed: int = 0,

@@ -93,6 +93,9 @@ def build_explicit(n_users: int, n_relays: int, user_links: Sequence[Sequence[in
         raise InvalidTopology("every user needs at least one relay")
     if degree >= n_relays:
         raise InvalidTopology(f"user degree {degree} must be below the relay count {n_relays}")
+    if n_relays > n_users * degree:  # checked before the K relay lists are allocated
+        raise InvalidTopology(f"relay degrees are not homogeneous: {n_relays} relays, "
+                              f"{n_users * degree} links")
 
     relay_links: list[list[int]] = [[] for _ in range(n_relays)]
     for i, h in enumerate(links, start=1):

@@ -136,16 +136,16 @@ def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
 # has length-1 axes for the variables outside the map's support.
 
 
-def _assignments(q: int, n_vars: int) -> Iterator[np.ndarray]:
+def _assignments(q: int, n_vars: int, dtype: np.dtype) -> Iterator[np.ndarray]:
     """All q**n_vars assignments in row-major order, as columns of C-contiguous (n_vars, q**k)
-    chunks (k maximal with q**k <= 2**16): one per high-digit value over the low block."""
+    chunks of dtype (k maximal with q**k <= 2**16): one per high-digit value over the low block."""
     k = 0
     while k < n_vars and q ** (k + 1) <= _CHUNK_COLUMNS:
         k += 1
-    low = np.indices((q,) * k, dtype=np.int64).reshape(k, q ** k)
+    low = np.indices((q,) * k, dtype=dtype).reshape(k, q ** k)
     for high in np.ndindex((q,) * (n_vars - k)):
-        chunk = np.empty((n_vars, low.shape[1]), dtype=np.int64)
-        chunk[:n_vars - k] = np.array(high, dtype=np.int64)[:, None]
+        chunk = np.empty((n_vars, low.shape[1]), dtype=dtype)
+        chunk[:n_vars - k] = np.array(high, dtype=dtype)[:, None]
         chunk[n_vars - k:] = low
         yield chunk
 
@@ -303,24 +303,30 @@ def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
     samples=None runs every (inputs, seeds) assignment exactly once
     (chunked, so memory stays bounded); each column of a width-w block is
     an independent round, so that is exhaustive for every width.
-    Otherwise `samples` random assignments are drawn.  The algebraic
-    cancellation certificate is asserted in both modes, and the result is
-    the conjunction, so a disagreement between simulation and certificate
-    can only surface as a failure.
+    Otherwise `samples` random int64 assignments are drawn.  Either way the
+    columns enter the round in the narrowest signed dtype that holds
+    (q - 1)**2; each kernel widens on its own to a dtype that holds its
+    bound, so the verdict is an int64 round's.  The algebraic cancellation
+    certificate is asserted in both modes, and the result is the
+    conjunction, so a disagreement between simulation and certificate can
+    only surface as a failure.
 
     Raises:
         TooLargeToEnumerate: exhaustive state space above cap.
     """
     top, q = s.topology, s.field.q
     n_vars = top.N * top.n + s.seed_count
+    # every product of the round widens its operands to at least a dtype that holds one
+    # term, (q - 1)**2, so narrower columns would only be cast up again in each product
+    dtype = gf._narrowest((q - 1) ** 2)
     if samples is None:
         if q ** n_vars > cap:
             raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
-        sim_ok = all(_simulate_columns(s, chunk) for chunk in _assignments(q, n_vars))
+        sim_ok = all(_simulate_columns(s, chunk) for chunk in _assignments(q, n_vars, dtype))
     else:
         rng = np.random.default_rng(seed)
-        columns = rng.integers(0, q, size=(n_vars, samples * width), dtype=np.int64)
-        sim_ok = _simulate_columns(s, columns)
+        sim_ok = _simulate_columns(s, rng.integers(0, q, size=(n_vars, samples * width),
+                                                   dtype=np.int64).astype(dtype, copy=False))
 
     return sim_ok and link_key_constraint_ok(s)
 

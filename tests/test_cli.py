@@ -478,6 +478,39 @@ def test_fuzzed_config_never_ends_in_traceback(field, value):
             assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
+SCHEME_FIELDS = [("field_q",), ("variant",), ("schema",), ("t_u",), ("key_weights",),
+                 ("topology",), ("topology", "N"), ("topology", "K"), ("topology", "n"),
+                 ("topology", "user_links"), ("topology", "user_links", 0),
+                 ("topology", "user_links", 0, 0), ("decode_matrix",), ("decode_matrix", 0),
+                 ("decode_matrix", 0, 0), ("encoders",), ("encoders", 0), ("encoders", 0, 0, 0),
+                 ("key_map",), ("key_map", 0), ("key_map", 0, 0), ("key_map", -1, -1)]
+SCHEME_VALUES = (st.integers(0, 12) | FUZZ_VALUES
+                 | st.sampled_from([2**31 - 1, 2**62, -(2**63), 10**30, [[0]], {}]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from([3, 13]), field=st.sampled_from(SCHEME_FIELDS), value=SCHEME_VALUES)
+def test_fuzzed_scheme_file_never_ends_in_traceback(q, field, value):
+    # under the 10**6 cap, q = 3 decodes all 3**10 columns in int8, q = 13 samples in int16
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg, scheme_path = write_config(tmp, field_q=q), tmp / "scheme.json"
+        assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
+        doc = read_json(scheme_path)
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        scheme_path.write_text(json.dumps(doc))
+        for command in ("verify", "simulate"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--scheme", str(scheme_path),
+                             "--out", str(tmp / f"{command}.json")])
+            assert code in (0, 1, 2)
+            assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
 NUMPY_OOM = "Unable to allocate 16.0 GiB for an array with shape (2147483647,) and data type int64"
 
 

@@ -113,6 +113,74 @@ def test_fused_matmul_is_exact_at_the_int64_edge():
         assert gf._matmul(q, *terms).tolist() == [[sum(inners) * (q - 1) ** 2 % q]]
 
 
+# -- narrow dtypes: the round simulator's kernels at their dtype edges -----------------
+
+NARROW = (np.int8, np.int16, np.int32)
+EDGE_PRIMES = (2, 3, 13, 181, 46337, 65537)
+EDGE_SIZE_LIMIT = 1 << 17  # larger edges (q = 2 or 3 at int32) would need gigabytes
+
+
+def narrow_edges(unit):
+    """(q, dtype, size, fits): per narrow dtype holding the residues of q, the largest
+    size with size * unit(q) <= its maximum, and one more, which must widen."""
+    for q in EDGE_PRIMES:
+        for dt in NARROW:
+            top = np.iinfo(dt).max
+            if q - 1 > top:
+                continue
+            at = top // unit(q)
+            for size, fits in ((at, True), (at + 1, False)):
+                if 1 <= size <= EDGE_SIZE_LIMIT:
+                    yield pytest.param(q, dt, size, fits,
+                                       id=f"q={q}-{np.dtype(dt).name}-{size}")
+
+
+def wider(dt):
+    # one step past a narrow dtype's edge at most doubles the bound, so the next dtype holds it
+    return {np.int8: np.int16, np.int16: np.int32, np.int32: np.int64}[dt]
+
+
+def edge_residues(rng, q, shape, saturate, dt):
+    # saturated operands (every entry q - 1) reach the bound exactly
+    a = np.full(shape, q - 1) if saturate else rng.integers(0, q, shape)
+    return a.astype(dt)
+
+
+@pytest.mark.parametrize("q, dt, inner, fits", list(narrow_edges(lambda q: (q - 1) ** 2)))
+@settings(max_examples=6, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_narrow_matmul_is_exact_at_its_dtype_edge(q, dt, inner, fits, rows, cols, split,
+                                                  saturate, wide_left, seed):
+    # one or two terms of narrow right operands; the left ones may be int64 coefficients
+    rng = np.random.default_rng(seed)
+    inners = [inner // 2, inner - inner // 2] if split and inner > 1 else [inner]
+    left_dt = np.int64 if wide_left else dt
+    terms = [(edge_residues(rng, q, (rows, k), saturate, left_dt),
+              edge_residues(rng, q, (k, cols), saturate, dt)) for k in inners]
+    expected = sum(a.astype(object) @ b.astype(object) for a, b in terms) % q
+    got = gf._matmul(q, *terms)
+    assert got.dtype == (dt if fits else wider(dt))
+    assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("bound, floor, dt", [
+    (127, np.int8, np.int8), (128, np.int8, np.int16), (1, np.int32, np.int32),
+    (2**15, np.int8, np.int32), (2**31, np.int16, np.int64), (2**63 - 1, np.int8, np.int64),
+    (2**63, np.int8, np.int64), (2**70, np.int64, np.int64)])
+def test_narrowest_dtype_holds_the_bound_or_falls_back_to_int64(bound, floor, dt):
+    # integer limits only: np.min_scalar_type(-128) is int8, yet int8 cannot hold 128
+    assert gf._narrowest(bound, np.dtype(floor)) == dt
+
+
+def test_equal_matrices_hash_equal_across_dtypes():
+    m = FieldMatrix(F5, [[0, 4, 2], [3, 1, 0]])
+    for dt in NARROW:
+        narrow = FieldMatrix._wrap(F5, m.a.astype(dt))
+        assert narrow == m and hash(narrow) == hash(m)
+    assert len({m, FieldMatrix._wrap(F5, m.a.astype(np.int8)), m.T.T}) == 1
+
+
 @pytest.mark.parametrize("q", [5, 7])
 def test_inverse_matrix_example(q):
     field = PrimeField(q)
@@ -207,7 +275,7 @@ def test_internal_results_meet_the_edge_contract(q, r, c, k, data):
     a, b = drawn_matrix(data, field, r, c), drawn_matrix(data, field, r, c)
     cols = data.draw(st.lists(st.integers(0, c - 1), max_size=4)) if c else []
     results = [a.T, a.take_cols(cols), gf.hstack([a, b]),
-               gf.vstack([a, b]), a + b, a - b, -a, a @ drawn_matrix(data, field, c, k)]
+               gf.vstack([a, b]), -a, a @ drawn_matrix(data, field, c, k)]
     try:
         results.append(drawn_matrix(data, field, c, c).inverse())
     except SingularMatrix:

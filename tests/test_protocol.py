@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsa_lab import gf
 from hsa_lab.errors import ProtocolViolation, ShapeError
@@ -19,6 +22,8 @@ from hsa_lab.schemes import (
     sample_keys,
 )
 from hsa_lab.topology import build_cyclic
+
+from test_gf import edge_residues, narrow_edges, wider
 
 F7 = PrimeField(7)
 F13 = PrimeField(13)
@@ -109,6 +114,44 @@ def test_relay_sum_of_largest_entries_is_exact():
         assert all(v.tolist() == [q - 1] * 5 for v in incoming.values())  # inputs untouched
 
 
+@pytest.mark.parametrize("q, dt, count, fits", list(narrow_edges(lambda q: q - 1)))
+@settings(max_examples=4, deadline=None)
+@given(st.integers(1, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_narrow_sums_are_exact_at_their_dtype_edge(q, dt, count, fits, width, saturate, seed):
+    # both sums read only q, the relay's user list and the arrays, so a stub holds any count
+    rng = np.random.default_rng(seed)
+    field = PrimeField(q)
+    block = edge_residues(rng, q, (count, width), saturate, dt)
+    msgs = list(block)
+    expected = (block.astype(object).sum(axis=0) % q).tolist()
+    relay = SimpleNamespace(field=field, topology=SimpleNamespace(
+        K=1, relay_links=(tuple(range(1, count + 1)),)))
+    got = relay_aggregate(relay, 1, dict(enumerate(msgs, start=1)))
+    assert got.dtype == (dt if fits else wider(dt)) and got.tolist() == expected
+    total = direct_sum(SimpleNamespace(field=field),
+                       [FieldMatrix._wrap(field, v[:, None]) for v in msgs])
+    assert total.a.dtype == (dt if fits else wider(dt)) and total.a[:, 0].tolist() == expected
+
+
+@pytest.mark.parametrize("dt", [np.int8, np.int16, np.int32])
+def test_round_keeps_the_dtype_of_narrow_columns(dt):
+    # every message of a narrow round is narrow and equal to the int64 round's
+    s = example_scheme(5)
+    rng = np.random.default_rng(8)
+    inputs = [s.field.rand(rng, (2, 40)) for _ in range(3)]
+    seeds = s.field.rand(rng, (s.seed_count, 40))
+    wide = run_round(s, [FieldMatrix(s.field, w) for w in inputs],
+                     keys=derive_user_keys(s, FieldMatrix(s.field, seeds)))
+    narrow = run_round(s, [FieldMatrix._wrap(s.field, w.astype(dt)) for w in inputs],
+                       keys=derive_user_keys(s, FieldMatrix._wrap(s.field, seeds.astype(dt))))
+    assert not narrow.mismatch and narrow.decoded == wide.decoded
+    assert narrow.decoded.a.dtype == dt
+    for wire, narrow_msgs in ((wide.x_msgs, narrow.x_msgs), (wide.y_msgs, narrow.y_msgs)):
+        assert all(v.dtype == dt for v in narrow_msgs.values())
+        assert {k: v.tolist() for k, v in narrow_msgs.items()} == {
+            k: v.tolist() for k, v in wire.items()}
+
+
 def test_server_decode_requires_all_relays():
     s = example_scheme()
     with pytest.raises(ProtocolViolation):
@@ -165,10 +208,10 @@ def test_round_linearity():
     ksum = explicit_keys(s, [6, 1, 3, 5])  # componentwise sum mod 7
     t1 = run_round(s, in1, keys=k1)
     t2 = run_round(s, in2, keys=k2)
-    tsum = run_round(s, [a + b for a, b in zip(in1, in2)], keys=ksum)
+    tsum = run_round(s, [FieldMatrix(s.field, a.a + b.a) for a, b in zip(in1, in2)], keys=ksum)
     for link in t1.x_msgs:
         assert tsum.x_msgs[link].tolist() == ((t1.x_msgs[link] + t2.x_msgs[link]) % 7).tolist()
-    assert tsum.decoded == t1.decoded + t2.decoded
+    assert tsum.decoded == FieldMatrix(s.field, t1.decoded.a + t2.decoded.a)
 
 
 def test_keys_vanish_under_decoding():

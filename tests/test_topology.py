@@ -39,6 +39,13 @@ def test_explicit_rejections():
         build_explicit(4, 4, [[1, 2], [1, 2], [3, 4], [1, 3]])
 
 
+@pytest.mark.parametrize("n_relays", [4, 2**31 - 1, 2**62])
+def test_relays_beyond_the_link_count_are_rejected_before_allocation(n_relays):
+    # 3 users of degree 1 leave a relay idle; a per-relay list of 2**62 relays would never end
+    with pytest.raises(InvalidTopology, match=f"{n_relays} relays, 3 links"):
+        build_explicit(3, n_relays, [[1], [2], [3]])
+
+
 def test_cyclic_wrap():
     top = build_cyclic(3, 2)
     assert top.user_links == ((1, 2), (2, 3), (1, 3))

@@ -232,7 +232,7 @@ def test_oracle_agrees_with_rank_both_ways():
 @pytest.mark.parametrize("q, n_vars", [(2, 0), (5, 0), (3, 1), (2, 5), (3, 11), (7, 7),
                                        (2, 17), (257, 2)])
 def test_assignments_are_the_row_major_enumeration(q, n_vars):
-    chunks = list(_assignments(q, n_vars))
+    chunks = list(_assignments(q, n_vars, np.int64))
     assert all(chunk.shape[0] == n_vars and 1 <= chunk.shape[1] <= 1 << 16 for chunk in chunks)
     assert all(chunk.flags.c_contiguous for chunk in chunks)
     assert np.array_equal(np.hstack(chunks).T, _all_states(q, n_vars))
@@ -280,6 +280,65 @@ def test_decodability_weighted():
     assert check_decodability(s, samples=500, seed=2)
     bad = tampered(s)
     assert not check_decodability(bad, samples=500, seed=2)
+
+
+def tampered_decoder(scheme, row=0, col=-1):
+    d = scheme.decode_matrix.a.copy()
+    d[row, col] = (d[row, col] + 1) % scheme.field.q
+    return dataclasses.replace(scheme, decode_matrix=FieldMatrix(scheme.field, d))
+
+
+def decode_cases():
+    """(scheme, samples) per q: exhaustive where the grid is small, sampled on cyclic(3,2)."""
+    for q in (3, 5, 7, 13, 101):
+        field = PrimeField(q)
+        yield build_scheme_a(build_cyclic(2, 1), field, seed=0), None
+        if q == 3:
+            yield example_scheme(q), None
+        yield example_scheme(q), 300
+        if q == 13:
+            yield build_scheme_b(build_cyclic(6, 2), field, t_u=2, seed=0), 300
+
+
+@pytest.mark.parametrize("scheme, samples", list(decode_cases()),
+                         ids=lambda v: f"{v.variant} q={v.field.q} K={v.topology.K}"
+                         if isinstance(v, Scheme) else f"samples={v}")
+def test_narrow_decode_verdicts_equal_the_int64_reference(monkeypatch, scheme, samples):
+    # clean schemes pass, and a tampered decode matrix or key map fails, in both dtypes
+    cases = [(scheme, True), (tampered(scheme), False), (tampered_decoder(scheme), False)]
+    narrow = [check_decodability(s, samples=samples, seed=4) for s, _ in cases]
+    monkeypatch.setattr(gf, "_narrowest", lambda bound, floor=None: np.dtype(np.int64))
+    reference = [check_decodability(s, samples=samples, seed=4) for s, _ in cases]
+    assert narrow == reference == [passes for _, passes in cases]
+
+
+@pytest.mark.parametrize("q, samples, columns, decoded", [
+    (3, None, np.int8, np.int8), (5, None, np.int8, np.int8), (5, 100, np.int8, np.int8),
+    (101, 100, np.int16, np.int32), (65537, 100, np.int64, np.int64)])
+def test_decode_runs_in_the_narrowest_dtype_its_bound_allows(monkeypatch, q, samples,
+                                                             columns, decoded):
+    # A on cyclic(3,2): the columns hold (q - 1)**2; the encode's bound is (q - 1)**2 * 4
+    s = build_scheme_a(build_cyclic(3, 2), PrimeField(q), seed=0)
+    assert max(s.seed_count, 2 + s.keys_per_user) == 4
+    run_round, seen = verify.run_round, []
+
+    def first_round(s, inputs, keys):  # record the first round's dtypes and stop there
+        t = run_round(s, inputs, keys=keys)
+        seen.append((inputs[0].a.dtype, t.decoded.a.dtype))
+        return dataclasses.replace(t, mismatch=True)
+
+    monkeypatch.setattr(verify, "run_round", first_round)
+    assert not check_decodability(s, samples=samples, seed=0)
+    assert seen == [(np.dtype(columns), np.dtype(decoded))]
+
+
+def test_decode_past_every_dtype_bound_stays_exact_at_the_largest_field():
+    # at q = 2**31 - 1 the columns are int64, and the products' bounds are past int64's
+    s = build_scheme_c(3, PrimeField(2**31 - 1))
+    assert check_decodability(s, samples=200, seed=1)
+    assert not check_decodability(tampered_decoder(s), samples=200, seed=1)
+    with pytest.raises(TooLargeToEnumerate):
+        check_decodability(s)
 
 
 # -- sweeps -----------------------------------------------------------------------
