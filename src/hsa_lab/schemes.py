@@ -64,7 +64,8 @@ class Scheme:
     variant A and 1 for variant BL.  key_weights is the N x K link weight
     matrix of variant BL, None for variant A.  link_keys (seeds x N*n) and
     link_rows, the coefficients of every wire message that the adversary
-    view and the rank route gather, are derived and never serialized.
+    view and the rank route gather, are derived and never serialized, as
+    are the per-relay row table and the seed supports they gather by.
     """
 
     variant: str
@@ -133,6 +134,19 @@ class Scheme:
         rows = np.hstack([self.link_keys.a.T, inputs.reshape(big_n * n, -1)])
         rows.flags.writeable = False
         return rows
+
+    @cached_property
+    def relay_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per relay, (user, link_rows row) for each of its links, in relay_links order."""
+        return tuple(tuple((i, self.link_index(i, j)) for i in users)
+                     for j, users in enumerate(self.topology.relay_links, 1))
+
+    @cached_property
+    def seed_supports(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Seed-column supports as bitmasks, bit c for seed c: one per link_rows row,
+        then one per user key (a row of key_map.T)."""
+        return tuple(tuple(sum(1 << c for c in np.flatnonzero(row).tolist()) for row in a)
+                     for a in (self.link_keys.a.T, self.key_map.a.T))
 
     def link_weight(self, user: int, relay: int) -> int:
         if self.variant != VARIANT_WEIGHTED:

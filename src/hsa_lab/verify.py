@@ -17,6 +17,10 @@ over all states is its count there times q per variable outside it.
 Neither step needs elimination.  The rank route reduces the same quotient
 by the known inputs once per pattern, gathered from `Scheme.link_rows`
 without the rows and columns that cannot change the leak (see rank_leak).
+Before any arithmetic it peels, by seed supports alone, every row that is
+the only nonzero of a seed column: such a row is independent of the
+others both in the whole stack and in its seed block, so it adds 1 to
+both ranks and leaves the leak as it is.
 """
 
 from __future__ import annotations
@@ -78,10 +82,11 @@ class LinearView:
 def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
     """Gather the coefficient rows of all messages received by p.relays."""
     p.validate(s)
-    labels = [(i, j) for j in p.relays for i in s.topology.relay_links[j - 1]]
-    rows, seeds = s.link_rows[[s.link_index(i, j) for i, j in labels]], s.seed_count
+    links = [(i, j, row) for j in p.relays for i, row in s.relay_rows[j - 1]]
+    rows, seeds = s.link_rows[[row for _, _, row in links]], s.seed_count
     return LinearView(c_w=FieldMatrix._wrap(s.field, rows[:, seeds:]),
-                      c_r=FieldMatrix._wrap(s.field, rows[:, :seeds]), row_labels=tuple(labels))
+                      c_r=FieldMatrix._wrap(s.field, rows[:, :seeds]),
+                      row_labels=tuple((i, j) for i, j, _ in links))
 
 
 def _quotient(s: Scheme, p: CollusionPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,6 +96,23 @@ def _quotient(s: Scheme, p: CollusionPattern) -> tuple[np.ndarray, np.ndarray, n
     free = [c for c in range(s.topology.N * n) if c // n + 1 not in p.users]
     keys = s.key_map.a[:, [(i - 1) * k + t for i in p.users for t in range(k)]].T
     return view.c_r.a, view.c_w.a[:, free], keys
+
+
+def _peel(supports: list[int]) -> list[int]:
+    """Indices of the rows left once every seed column with one nonzero has pivoted.
+
+    supports[r] is row r's seed support as a bitmask.  A column in exactly
+    one live row's support pivots on that row, which leaves; repeat.
+    """
+    live = list(range(len(supports)))
+    while True:
+        once = twice = 0
+        for r in live:
+            twice |= once & supports[r]
+            once |= supports[r]
+        if not (single := once & ~twice):
+            return live
+        live = [r for r in live if not supports[r] & single]
 
 
 def rank_leak(s: Scheme, p: CollusionPattern) -> int:
@@ -110,17 +132,34 @@ def rank_leak(s: Scheme, p: CollusionPattern) -> int:
       in the row space of [K_c | 0] and moves neither rank;
     * the input columns of a free user with no link in the view leave it:
       they are zero in every row, and a zero column never pivots.
+
+    Then a peel by seed supports alone (Scheme.seed_supports), before any
+    arithmetic: a row that is the only nonzero of some seed column is
+    independent of the other rows, in the whole stack and in its seed block
+    alike, so it adds 1 to both ranks and leaves without changing the leak.
+    Its removal can leave another seed column with one nonzero, so the peel
+    repeats until none has.  If no row is left the leak is 0; otherwise the
+    survivors are reduced, and the input columns of a free user with no
+    surviving row leave as zero columns.  A survivor with no seed entry
+    stays: if its input part is nonzero it is a leak pivot.
     """
     p.validate(s)
     top, seeds, k = s.topology, s.seed_count, s.keys_per_user
-    seen = [s.link_index(i, j) for j in p.relays for i in top.relay_links[j - 1]
-            if i not in p.users]
+    seen = [row for j in p.relays for i, row in s.relay_rows[j - 1] if i not in p.users]
+    keys = [(i - 1) * k + t for i in p.users for t in range(k)]
+    link_supports, key_supports = s.seed_supports
+    supports = [link_supports[r] for r in seen] + [key_supports[c] for c in keys]
+    live = _peel(supports)
+    if not live:
+        return 0
+    n_seen = len(seen)
+    seen = [seen[r] for r in live if r < n_seen]
+    keys = [keys[r - n_seen] for r in live if r >= n_seen]
     users = sorted({row // top.n for row in seen})  # 0-based
     cols = [*range(seeds), *(seeds + u * top.n + t for u in users for t in range(top.n))]
-    stack = np.zeros((len(seen) + k * len(p.users), len(cols)), dtype=np.int64)
+    stack = np.zeros((len(live), len(cols)), dtype=np.int64)
     stack[:len(seen)] = s.link_rows.take(seen, 0).take(cols, 1)
-    stack[len(seen):, :seeds] = s.key_map.a.T.take([(i - 1) * k + t for i in p.users
-                                                     for t in range(k)], 0)
+    stack[len(seen):, :seeds] = s.key_map.a.T.take(keys, 0)
     pivots = gf.pivots(FieldMatrix._wrap(s.field, stack))
     return len(pivots) - bisect.bisect_left(pivots, seeds)
 
@@ -429,7 +468,14 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
     between the two routes is counted separately from plain failures.
     Patterns beyond `budget` are randomly subsampled (seeded).  Oracle
     runs that exceed oracle_cap count as skipped, never as passed.
+
+    Raises:
+        InvalidArgument: for any other method, or a budget below 1.
     """
+    if method not in ("rank", "oracle", "both"):
+        raise InvalidArgument(f"unknown sweep method {method!r}")
+    if budget < 1:
+        raise InvalidArgument(f"sweep budget must be at least 1, got {budget}")
     if all_sizes is None:
         all_sizes = s.topology.N <= 6 and s.topology.K <= 6
     total = count_patterns(s.topology, t_h, t_u, all_sizes)

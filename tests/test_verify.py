@@ -362,6 +362,14 @@ def test_sweep_first_failure():
     assert not check_security_rank(s, rep.first_failure)
 
 
+@pytest.mark.parametrize("kwargs", [{"method": "rnak"}, {"method": "Rank"}, {"budget": 0},
+                                    {"budget": -3}])
+def test_sweep_rejects_an_unknown_method_and_an_empty_budget(kwargs):
+    # a typo or a zero budget would check nothing and still report all_passed
+    with pytest.raises(InvalidArgument):
+        sweep_security(example_scheme(), 1, 1, **kwargs)
+
+
 def test_sweep_budget_subsampling_is_deterministic():
     s = build_scheme_a(build_cyclic(6, 2), F7, seed=0)
     r1 = sweep_security(s, 1, 2, budget=10, all_sizes=True, seed=5)
@@ -506,14 +514,18 @@ def test_oracle_stays_off_the_rank_path(monkeypatch):
     assert any(not res.is_zero for res in expected[1][0])
 
     def no_elimination(*args):
-        raise AssertionError("the oracle reached an elimination routine")
+        raise AssertionError("the oracle reached an elimination routine or the rank peel")
 
     for routine in ("_echelon_pivots", "_all_nonsingular", "_rref"):
         monkeypatch.setattr(gf, routine, no_elimination)
+    monkeypatch.setattr(verify, "_peel", no_elimination)
+    monkeypatch.setattr(Scheme, "seed_supports", property(no_elimination))
     key_map = schemes[0].key_map
     square = key_map.take_cols(range(key_map.rows))
     for eliminate in (key_map.rank, square.inverse, lambda: gf.pivots(key_map),
-                      lambda: gf.mds_check(key_map)):
+                      lambda: gf.mds_check(key_map), lambda: verify._peel([1]),
+                      lambda: schemes[1].seed_supports,
+                      lambda: rank_leak(schemes[1], CollusionPattern([1], [2]))):
         with pytest.raises(AssertionError):
             eliminate()
     assert [oracle_values(s) for s in schemes] == expected
@@ -693,3 +705,67 @@ def test_rank_leak_equals_oracle_value(grid, key_map, data):
         s = with_key_map(s, small_matrix(data, q, s.key_map.rows, s.key_map.cols))
     pat = data.draw(st.sampled_from(list(iter_patterns(s.topology, k, k, all_sizes=True))))
     assert rank_leak(s, pat) == mi_oracle(s, pat).mi_value
+
+
+def mixed_key_map(data, q, seeds, cols):
+    """A key map whose columns are each a unit column (one nonzero), dense random or
+    zero; a zero column leaves its user's messages with no seed entry."""
+    km = np.zeros((seeds, cols), dtype=np.int64)
+    for c in range(cols):
+        kind = data.draw(st.sampled_from(["unit", "dense", "zero"]))
+        if kind == "unit":
+            km[data.draw(st.integers(0, seeds - 1)), c] = data.draw(st.integers(1, q - 1))
+        elif kind == "dense":
+            km[:, c] = small_matrix(data, q, seeds, 1)[:, 0]
+    return km
+
+
+def maybe_singular_encoders(data, s):
+    """The built encoders, or random ones of which some are made singular."""
+    if data.draw(st.booleans()):
+        return s.encoders
+    q, n = s.field.q, s.topology.n
+    encoders = []
+    for _ in range(s.topology.N):
+        e = small_matrix(data, q, n, n)
+        if data.draw(st.booleans()):
+            e[-1] = data.draw(st.integers(0, q - 1)) * e[0] % q
+        encoders.append(FieldMatrix(s.field, e))
+    return tuple(encoders)
+
+
+PEEL_SCHEMES = [lambda: build_scheme_a(build_cyclic(3, 2), F5, seed=0),
+                lambda: build_scheme_a(build_cyclic(5, 2), F7, seed=1),
+                lambda: build_scheme_a(build_tree(3, 2), F7, seed=0),
+                lambda: build_scheme_c(5, F7)]
+
+
+def test_rank_leak_peel_matches_four_rank_formula(monkeypatch):
+    # the support peel must not change the leak whether it clears a stack, part
+    # of it or none of it; the examples are derandomized so all three occur
+    outcomes = set()
+    peel = verify._peel
+
+    def recording_peel(supports):
+        live = peel(supports)
+        if supports:
+            outcomes.add("to nothing" if not live else
+                         "partly" if len(live) < len(supports) else "not at all")
+        return live
+
+    monkeypatch.setattr(verify, "_peel", recording_peel)
+    schemes = [build() for build in PEEL_SCHEMES]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.sampled_from(range(len(schemes))), st.data())
+    def check(which, data):
+        clean = schemes[which]
+        q = clean.field.q
+        s = dataclasses.replace(
+            clean, encoders=maybe_singular_encoders(data, clean),
+            key_map=FieldMatrix(clean.field, mixed_key_map(data, q, *clean.key_map.a.shape)))
+        pat = data.draw(st.sampled_from(list(iter_patterns(s.topology, 2, 2, all_sizes=True))))
+        assert rank_leak(s, pat) == four_rank_leak(*oracle_maps(s, pat, 1), q), pat
+
+    check()
+    assert outcomes == {"to nothing", "partly", "not at all"}
