@@ -7,7 +7,7 @@ acceptance checks downstream compare these numbers for equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -35,17 +35,12 @@ class RateTuple:
     r_zsigma: Fraction
 
     def __post_init__(self):
-        for name in ("r_x", "r_y", "r_z", "r_zsigma"):
-            if getattr(self, name) < 0:
-                raise InvalidArgument(f"{name} must be nonnegative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise InvalidArgument(f"{f.name} must be nonnegative")
 
     def as_dict(self) -> dict:
-        return {
-            "r_x": str(self.r_x),
-            "r_y": str(self.r_y),
-            "r_z": str(self.r_z),
-            "r_zsigma": str(self.r_zsigma),
-        }
+        return {name: str(rate) for name, rate in asdict(self).items()}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -81,9 +81,6 @@ class RunConfig:
     enumeration_cap: int
     sweep_budget: int
     outputs: dict
-
-    def echo(self) -> dict:
-        return self.raw
 
 
 def _object(value, ctx: str) -> dict:
@@ -225,7 +222,7 @@ def build_scheme(cfg: RunConfig) -> Scheme:
 def bounds_fragment(cfg: RunConfig, rep: bounds_mod.BoundsReport) -> dict:
     frag = {
         "schema": BOUNDS_SCHEMA,
-        "config": cfg.echo(),
+        "config": cfg.raw,
         "feasibility": {
             "verdict": "feasible" if rep.feasible else "infeasible",
             "witness": rep.witness,
@@ -273,12 +270,7 @@ def verify_blocks(cfg: RunConfig, scheme: Scheme, all_sizes: Optional[bool]) -> 
         structural_ok = structural["mask_cancellation"]
     else:
         conds = check_weighted_conditions(scheme)
-        structural = {
-            "generator_is_mds": conds.generator_is_mds,
-            "decoder_is_mds": conds.decoder_is_mds,
-            "support_matches_links": conds.support_matches_links,
-            "masks_cancel": conds.masks_cancel,
-        }
+        structural = asdict(conds)
         structural_ok = conds.all_hold
     blocks = {
         "decodability": deco,
@@ -398,7 +390,7 @@ def cmd_verify(args) -> int:
     scheme = _load_scheme_for(cfg, args.scheme)
     all_sizes = True if args.all_sizes else None
     blocks, ok = verify_blocks(cfg, scheme, all_sizes)
-    doc = {"schema": REPORT_SCHEMA, "config": cfg.echo(),
+    doc = {"schema": REPORT_SCHEMA, "config": cfg.raw,
            "verdict": "pass" if ok else "fail", **blocks}
     dump_json(doc, out)
     return _EXIT_OK if ok else _EXIT_VERIFICATION

@@ -420,8 +420,6 @@ def mds_check(m: FieldMatrix) -> bool:
     """
     if m.rows > m.cols:
         raise ShapeError(f"mds_check needs rows <= cols, got {m.rows}x{m.cols}")
-    if m.rows == 0:
-        return True
     combos = combinations(range(m.cols), m.rows)
     while (chunk := np.fromiter(chain.from_iterable(islice(combos, _MINOR_CHUNK)),
                                 dtype=np.intp)).size:

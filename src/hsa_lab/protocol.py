@@ -2,7 +2,9 @@
 
 Inputs are n x width blocks over F_q; every matrix operation is applied
 column-wise, so a round over width > 1 is just `width` independent rounds
-sharing one transcript.  Relays are pure folds; there is no timing model.
+sharing one transcript.  That is why the certificates in `verify` count one
+block column and multiply by width.  Relays are pure folds; there is no
+timing model.
 """
 
 from __future__ import annotations

@@ -85,22 +85,13 @@ class Scheme:
     def keys_per_user(self) -> int:
         return self.topology.n if self.variant == VARIANT_LINK_KEYS else 1
 
-    @property
-    def links(self) -> list[tuple[int, int]]:
-        """All (user, relay) links in user-major order, relays sorted."""
-        return [(i, j) for i in range(1, self.topology.N + 1)
-                for j in self.topology.user_links[i - 1]]
-
     def link_index(self, user: int, relay: int) -> int:
-        return (user - 1) * self.topology.n + self.link_pos(user, relay)
-
-    def link_pos(self, user: int, relay: int) -> int:
-        """Coordinate of `relay` inside user's sorted relay list."""
-        return self.topology.user_links[user - 1].index(relay)
+        """User-major index of link (user, relay), relays sorted within each user."""
+        return (user - 1) * self.topology.n + self.topology.user_links[user - 1].index(relay)
 
     def column_block(self, user: int) -> FieldMatrix:
         """Columns of the decoding matrix indexed by the user's relays."""
-        return self.decode_matrix.take_cols([j - 1 for j in self.topology.user_links[user - 1]])
+        return _column_blocks(self.decode_matrix, self.topology)[user - 1]
 
     @cached_property
     def key_spreads(self) -> tuple[FieldMatrix, ...]:
@@ -126,7 +117,8 @@ class Scheme:
         """Read-only N*n x (seeds + N*n) coefficients of every wire message.
 
         Row link_index(i, j) is message (i, j) over (seeds, inputs): the link
-        key, then row link_pos(i, j) of encoders[i-1] in user i's input columns.
+        key, then the row of encoders[i-1] at relay j's position in user i's
+        sorted relays, in user i's input columns.
         """
         big_n, n = self.topology.N, self.topology.n
         inputs = np.zeros((big_n, n, big_n, n), dtype=np.int64)
@@ -147,11 +139,6 @@ class Scheme:
         then one per user key (a row of key_map.T)."""
         return tuple(tuple(sum(1 << c for c in np.flatnonzero(row).tolist()) for row in a)
                      for a in (self.link_keys.a.T, self.key_map.a.T))
-
-    def link_weight(self, user: int, relay: int) -> int:
-        if self.variant != VARIANT_WEIGHTED:
-            raise InvalidArgument("link weights exist only for the weighted variant")
-        return int(self.key_weights.a[user - 1, relay - 1])
 
     def to_dict(self) -> dict:
         return {
@@ -227,9 +214,9 @@ class KeyMaterial:
         return self.seeds.cols
 
 
-def _stacked_column_blocks(s: Scheme) -> FieldMatrix:
-    """vstack of the transposed decoding-column blocks of all users (N*n x n)."""
-    return gf.vstack([s.column_block(i).T for i in range(1, s.topology.N + 1)])
+def _column_blocks(decode_matrix: FieldMatrix, top: Topology) -> list[FieldMatrix]:
+    """Per user, the columns of the decoding matrix indexed by its relays."""
+    return [decode_matrix.take_cols([j - 1 for j in links]) for links in top.user_links]
 
 
 def link_key_constraint_ok(s: Scheme) -> bool:
@@ -239,7 +226,8 @@ def link_key_constraint_ok(s: Scheme) -> bool:
     iff link_keys composed with the stacked column blocks is identically
     zero.
     """
-    return (s.link_keys @ _stacked_column_blocks(s)).is_zero()
+    blocks = _column_blocks(s.decode_matrix, s.topology)
+    return (s.link_keys @ gf.vstack([b.T for b in blocks])).is_zero()
 
 
 @dataclass(frozen=True)
@@ -277,11 +265,7 @@ def check_weighted_conditions(s: Scheme) -> WeightedConditions:
 
 
 def _encoders_from(decode_matrix: FieldMatrix, top: Topology) -> tuple[FieldMatrix, ...]:
-    encs = []
-    for i in range(1, top.N + 1):
-        block = decode_matrix.take_cols([j - 1 for j in top.user_links[i - 1]])
-        encs.append(block.inverse())
-    return tuple(encs)
+    return tuple(block.inverse() for block in _column_blocks(decode_matrix, top))
 
 
 def build_scheme_a(top: Topology, field: PrimeField, seed: int = 0,
@@ -324,8 +308,7 @@ def build_scheme_a(top: Topology, field: PrimeField, seed: int = 0,
     # Seeds: one per link of users 1..N-1.  The last user's keys are the
     # unique linear functions of those seeds that cancel the masks:
     #   keys_N = -(sum over i<N of keys_i * block_i^T) * (block_N^T)^{-1}
-    blocks = [decode_matrix.take_cols([j - 1 for j in top.user_links[i - 1]])
-              for i in range(1, big_n + 1)]
+    blocks = _column_blocks(decode_matrix, top)
     stacked = gf.vstack([b.T for b in blocks[:-1]])           # (N-1)n x n
     last_inv_t = blocks[-1].inverse().T                        # (block_N^T)^{-1}
     key_map = gf.hstack([gf.identity(field, (big_n - 1) * n), -(stacked @ last_inv_t)])

@@ -24,34 +24,18 @@ def _wrap(a: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class Topology:
-    n_users: int
-    n_relays: int
-    relays_per_user: int
-    users_per_relay: int
+    N: int  # users
+    K: int  # relays
+    n: int  # relays per user
+    m: int  # users per relay
     user_links: tuple[tuple[int, ...], ...]  # sorted relay ids per user
     relay_links: tuple[tuple[int, ...], ...]  # sorted user ids per relay
 
-    @property
-    def N(self) -> int:
-        return self.n_users
-
-    @property
-    def K(self) -> int:
-        return self.n_relays
-
-    @property
-    def n(self) -> int:
-        return self.relays_per_user
-
-    @property
-    def m(self) -> int:
-        return self.users_per_relay
-
     def to_dict(self) -> dict:
         return {
-            "N": self.n_users,
-            "K": self.n_relays,
-            "n": self.relays_per_user,
+            "N": self.N,
+            "K": self.K,
+            "n": self.n,
             "user_links": [list(h) for h in self.user_links],
         }
 
@@ -109,10 +93,10 @@ def build_explicit(n_users: int, n_relays: int, user_links: Sequence[Sequence[in
         raise InvalidTopology("link count mismatch between the two layers")
 
     return Topology(
-        n_users=n_users,
-        n_relays=n_relays,
-        relays_per_user=degree,
-        users_per_relay=m,
+        N=n_users,
+        K=n_relays,
+        n=degree,
+        m=m,
         user_links=tuple(links),
         relay_links=tuple(tuple(u) for u in relay_links),
     )

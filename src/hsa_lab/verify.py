@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
@@ -36,12 +36,17 @@ import numpy as np
 
 from . import gf
 from .errors import InvalidArgument, TooLargeToEnumerate
-from .gf import FieldMatrix, PrimeField
+from .gf import FieldMatrix
 from .protocol import run_round
 from .schemes import Scheme, derive_user_keys, link_key_constraint_ok
 
 _CHUNK_COLUMNS = 1 << 16
 _DRAW_BLOCK = 4096  # reservoir replacement indices drawn per call
+
+
+def _at_least_one(value: int, what: str):
+    if value < 1:
+        raise InvalidArgument(f"{what} must be at least 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -61,9 +66,6 @@ class CollusionPattern:
             raise InvalidArgument(f"relay ids out of range in {self}")
         if any(not 1 <= u <= top.N for u in self.users):
             raise InvalidArgument(f"user ids out of range in {self}")
-
-    def as_dict(self) -> dict:
-        return {"relays": list(self.relays), "users": list(self.users)}
 
 
 @dataclass(frozen=True)
@@ -87,15 +89,6 @@ def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
     return LinearView(c_w=FieldMatrix._wrap(s.field, rows[:, seeds:]),
                       c_r=FieldMatrix._wrap(s.field, rows[:, :seeds]),
                       row_labels=tuple((i, j) for i, j, _ in links))
-
-
-def _quotient(s: Scheme, p: CollusionPattern) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V_s, V_w on the free users' inputs, K_c): the view V = [V_w | V_s] with
-    the colluders' input columns deleted, and their key rows (seed columns)."""
-    view, n, k = adversary_view(s, p), s.topology.n, s.keys_per_user
-    free = [c for c in range(s.topology.N * n) if c // n + 1 not in p.users]
-    keys = s.key_map.a[:, [(i - 1) * k + t for i in p.users for t in range(k)]].T
-    return view.c_r.a, view.c_w.a[:, free], keys
 
 
 def _peel(supports: list[int]) -> list[int]:
@@ -187,10 +180,6 @@ def _assignments(q: int, n_vars: int, dtype: np.dtype) -> Iterator[np.ndarray]:
         chunk[:n_vars - k] = np.array(high, dtype=dtype)[:, None]
         chunk[n_vars - k:] = low
         yield chunk
-
-
-def _expand_for_width(mat: np.ndarray, width: int) -> np.ndarray:
-    return np.kron(mat, np.eye(width, dtype=np.int64))
 
 
 def _dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
@@ -288,20 +277,28 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     input is a unit row: conditioning on it only shifts the other maps by a
     known constant, so its column leaves the grid.  H(V | C) is thus counted
     over the free users' inputs and the seeds, H(V | U, C) over the seeds
-    alone.  The cap and `states` still cover every input and seed.
+    alone.  Both count one block column, times width: the width-w maps are w
+    copies of the width-1 maps on disjoint variables.  The cap and `states`
+    still cover every input and seed of the whole block.
 
     Raises:
+        InvalidArgument: if width < 1.
         TooLargeToEnumerate: if q**((N*n + seeds) * width) exceeds cap.
     """
+    _at_least_one(width, "block width")
     p.validate(s)
     q = s.field.q
     n_vars = (s.topology.N * s.topology.n + s.seed_count) * width
     total = q ** n_vars
     if total > cap:
         raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
-    v_s, v_free, keys = (_expand_for_width(m, width) for m in _quotient(s, p))
+    # the view V = [V_w | V_s] without the colluders' input columns, and their key rows
+    view, n, k = adversary_view(s, p), s.topology.n, s.keys_per_user
+    v_s = view.c_r.a
+    v_free = view.c_w.a[:, [c for c in range(s.topology.N * n) if c // n + 1 not in p.users]]
+    keys = s.key_map.a[:, [(i - 1) * k + t for i in p.users for t in range(k)]].T
     given = np.hstack([keys, np.zeros((keys.shape[0], v_free.shape[1]), dtype=np.int64)])
-    mi = _cond_entropy(np.hstack([v_s, v_free]), given, q) - _cond_entropy(v_s, keys, q)
+    mi = width * (_cond_entropy(np.hstack([v_s, v_free]), given, q) - _cond_entropy(v_s, keys, q))
     return OracleResult(is_zero=(mi == 0), mi_value=mi, states=total)
 
 
@@ -342,7 +339,7 @@ def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
     samples=None runs every (inputs, seeds) assignment exactly once
     (chunked, so memory stays bounded); each column of a width-w block is
     an independent round, so that is exhaustive for every width.
-    Otherwise `samples` random int64 assignments are drawn.  Either way the
+    Otherwise samples * width random int64 columns are drawn.  Either way the
     columns enter the round in the narrowest signed dtype that holds
     (q - 1)**2; each kernel widens on its own to a dtype that holds its
     bound, so the verdict is an int64 round's.  The algebraic cancellation
@@ -351,8 +348,12 @@ def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
     only surface as a failure.
 
     Raises:
+        InvalidArgument: if width < 1 or samples < 1.
         TooLargeToEnumerate: exhaustive state space above cap.
     """
+    _at_least_one(width, "block width")
+    if samples is not None:
+        _at_least_one(samples, "samples")
     top, q = s.topology, s.field.q
     n_vars = top.N * top.n + s.seed_count
     # every product of the round widens its operands to at least a dtype that holds one
@@ -425,18 +426,7 @@ class SweepReport:
         return self.failed == 0 and self.disagreements == 0
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "all_sizes": self.all_sizes,
-            "total_patterns": self.total_patterns,
-            "checked": self.checked,
-            "passed": self.passed,
-            "failed": self.failed,
-            "skipped_cap": self.skipped_cap,
-            "disagreements": self.disagreements,
-            "subsampled": self.subsampled,
-            "first_failure": None if self.first_failure is None else self.first_failure.as_dict(),
-        }
+        return asdict(self)
 
 
 def _reservoir(tuples: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], budget: int,
@@ -470,17 +460,18 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
     runs that exceed oracle_cap count as skipped, never as passed.
 
     Raises:
-        InvalidArgument: for any other method, or a budget below 1.
+        InvalidArgument: for any other method, or a budget or width below 1.
     """
     if method not in ("rank", "oracle", "both"):
         raise InvalidArgument(f"unknown sweep method {method!r}")
-    if budget < 1:
-        raise InvalidArgument(f"sweep budget must be at least 1, got {budget}")
+    _at_least_one(budget, "sweep budget")
+    _at_least_one(width, "block width")
     if all_sizes is None:
         all_sizes = s.topology.N <= 6 and s.topology.K <= 6
     total = count_patterns(s.topology, t_h, t_u, all_sizes)
     report = SweepReport(method=method, all_sizes=all_sizes, total_patterns=total)
-    if method == "oracle" and s.field.q ** ((len(s.links) + s.seed_count) * width) > oracle_cap:
+    n_vars = s.topology.N * s.topology.n + s.seed_count
+    if method == "oracle" and s.field.q ** (n_vars * width) > oracle_cap:
         # mi_oracle's cap does not depend on the pattern: skip them all unbuilt
         report.checked = report.skipped_cap = min(total, budget)
         report.subsampled = total > budget
@@ -549,22 +540,28 @@ class ConverseChecks:
 
 def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> ConverseChecks:
     """Enumerate H(link key | other users' keys) for every link, and the
-    per-user key entropy sum, over the key-seed space."""
-    top = s.topology
+    per-user key entropy sum, over the key-seed space: for one block column,
+    times width, as in mi_oracle.
+
+    Raises:
+        InvalidArgument: if width < 1.
+        TooLargeToEnumerate: if q**(seeds * width) exceeds cap.
+    """
+    _at_least_one(width, "block width")
+    top, q, n_vars = s.topology, s.field.q, s.seed_count * width
+    if q ** n_vars > cap:
+        raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
     per_link: dict[tuple[int, int], Fraction] = {}
     for i in range(1, top.N + 1):
-        others = np.vstack([s.user_key_map(k).a.T for k in range(1, top.N + 1) if k != i])
-        others_m = _expand_width_matrix(s.field, others, width)
+        others = gf.vstack([s.user_key_map(k).T for k in range(1, top.N + 1) if k != i])
         for j in top.user_links[i - 1]:
-            target = _expand_width_matrix(s.field, s.link_keys.a[:, [s.link_index(i, j)]].T,
-                                          width)
-            per_link[(i, j)] = cond_entropy_enumerated(target, others_m, cap=cap)
+            target = s.link_keys.take_cols([s.link_index(i, j)]).T
+            per_link[(i, j)] = width * cond_entropy_enumerated(target, others, cap=cap)
 
-    empty = gf.zeros(s.field, 0, s.seed_count * width)
+    empty = gf.zeros(s.field, 0, s.seed_count)
     total = Fraction(0)
     for i in range(1, top.N + 1):
-        mine = _expand_width_matrix(s.field, s.user_key_map(i).a.T, width)
-        total += cond_entropy_enumerated(mine, empty, cap=cap)
+        total += width * cond_entropy_enumerated(s.user_key_map(i).T, empty, cap=cap)
 
     return ConverseChecks(
         per_link_entropy=per_link,
@@ -572,7 +569,3 @@ def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> Convers
         user_entropy_sum=total,
         sum_lower_bound=Fraction(top.N * top.n * width),
     )
-
-
-def _expand_width_matrix(field: PrimeField, mat: np.ndarray, width: int) -> FieldMatrix:
-    return FieldMatrix._wrap(field, _expand_for_width(mat, width))

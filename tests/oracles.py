@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from hsa_lab.errors import TooLargeToEnumerate
-from hsa_lab.verify import OracleResult, _cond_entropy, _expand_for_width, adversary_view
+from hsa_lab.verify import OracleResult, _cond_entropy, adversary_view
 
 
 def brute_inverse(a: int, q: int) -> int:
@@ -153,6 +153,11 @@ def _known_rows(s, input_users, key_users) -> np.ndarray:
     if keys:
         rows[len(input_cols):, n_w:] = np.vstack(keys)
     return rows
+
+
+def _expand_for_width(mat: np.ndarray, width: int) -> np.ndarray:
+    """The width-w map of a width-1 map: each coefficient becomes a w x w identity block."""
+    return np.kron(mat, np.eye(width, dtype=np.int64))
 
 
 def full_grid_mi_oracle(s, p, width: int = 1, cap: int = 10**8) -> OracleResult:

@@ -28,8 +28,9 @@ from hsa_lab.verify import (
     sweep_security,
 )
 
-from oracles import (_all_states, brute_cond_entropy, brute_mutual_information,
-                     four_rank_leak, full_grid_mi_oracle, reservoir_walk)
+from oracles import (_all_states, _expand_for_width, brute_cond_entropy,
+                     brute_mutual_information, four_rank_leak, full_grid_mi_oracle,
+                     reservoir_walk)
 from test_acceptance import symbolic_messages
 
 F3 = PrimeField(3)
@@ -83,7 +84,7 @@ def test_view_weighted_scheme():
     view = adversary_view(s, CollusionPattern([2], []))
     assert view.row_labels == ((1, 2), (2, 2))
     for row, (i, _) in zip(range(2), view.row_labels):
-        expected = (s.link_weight(i, 2) * s.key_map.a[:, i - 1]) % 7
+        expected = (int(s.key_weights.a[i - 1, 1]) * s.key_map.a[:, i - 1]) % 7
         assert view.c_r.row(row).tolist() == expected.tolist()
 
 
@@ -206,15 +207,19 @@ def test_oracle_monotone_under_fewer_relays():
 
 
 def test_oracle_width_scales_linearly():
-    # every map is linear, so a width-w block carries w independent copies
+    # every map is linear, so a width-w block carries w independent copies; the
+    # full-grid reference expands every map itself, so it checks the factor rule
     good = build_scheme_a(build_cyclic(2, 1), F3, seed=0)
-    broken = keyless(good)
-    pat = CollusionPattern([1], [])
-    for s in (good, broken):
-        one = mi_oracle(s, pat, width=1, cap=10**6)   # 3**3 states
-        three = mi_oracle(s, pat, width=3, cap=10**6)  # 3**9 states
-        assert three.is_zero == one.is_zero
-        assert three.mi_value == 3 * one.mi_value
+    cases = [(good, CollusionPattern([1], []), 3),           # 3**9 states
+             (keyless(good), CollusionPattern([1], []), 3),
+             (tampered(example_scheme(2)), CollusionPattern([3], [3]), 2)]  # 2**20 states
+    for s, pat, width in cases:
+        one = mi_oracle(s, pat, width=1, cap=10**7)
+        wide = mi_oracle(s, pat, width=width, cap=10**7)
+        assert wide.is_zero == one.is_zero
+        assert wide.mi_value == width * one.mi_value
+        assert wide == full_grid_mi_oracle(s, pat, width=width, cap=10**7)
+    assert not mi_oracle(*cases[2][:2]).is_zero
 
 
 def test_oracle_agrees_with_rank_both_ways():
@@ -489,10 +494,58 @@ def test_converse_spot_checks_example():
     s = example_scheme()
     checks = converse_spot_checks(s)
     assert checks.all_links_determined
-    assert set(checks.per_link_entropy) == set(s.links)
+    assert set(checks.per_link_entropy) == {(i, j) for i, links in
+                                           enumerate(s.topology.user_links, 1) for j in links}
     assert checks.user_entropy_sum == Fraction(6)  # 3 users x L, L = 2
     assert checks.sum_lower_bound == Fraction(6)
     assert checks.sum_meets_bound
+
+
+def width_two(m):
+    return FieldMatrix(m.field, _expand_for_width(m.a, 2))
+
+
+@pytest.mark.parametrize("build", [lambda: example_scheme(3), lambda: build_scheme_c(3, F5)])
+def test_converse_spot_checks_count_one_block_column(build):
+    s = build()
+    one, two = converse_spot_checks(s), converse_spot_checks(s, width=2)
+    assert two.per_link_entropy == {k: 2 * v for k, v in one.per_link_entropy.items()}
+    assert two.user_entropy_sum == 2 * one.user_entropy_sum
+    assert two.sum_lower_bound == 2 * one.sum_lower_bound
+    # against the width-2 maps counted over all q**(2 * seeds) seed values
+    for (i, j), h in two.per_link_entropy.items():
+        others = gf.vstack([s.user_key_map(k).T for k in range(1, s.topology.N + 1) if k != i])
+        target = s.link_keys.take_cols([s.link_index(i, j)]).T
+        assert h == cond_entropy_enumerated(width_two(target), width_two(others))
+    empty = gf.zeros(s.field, 0, 2 * s.seed_count)
+    assert two.user_entropy_sum == sum(
+        cond_entropy_enumerated(width_two(s.user_key_map(i).T), empty)
+        for i in range(1, s.topology.N + 1))
+
+
+def test_converse_spot_checks_cap_covers_the_whole_block():
+    s = example_scheme(3)  # 4 seeds
+    assert converse_spot_checks(s, width=2, cap=3**8).all_links_determined
+    with pytest.raises(TooLargeToEnumerate):
+        converse_spot_checks(s, width=2, cap=3**8 - 1)
+    converse_spot_checks(s, width=1, cap=3**4)
+
+
+@pytest.mark.parametrize("width", [0, -1])
+@pytest.mark.parametrize("check", [
+    lambda s, width: mi_oracle(s, CollusionPattern([1], [1]), width=width),
+    lambda s, width: sweep_security(s, 1, 1, method="oracle", width=width),
+    lambda s, width: sweep_security(s, 1, 1, method="rank", width=width),
+    lambda s, width: check_decodability(s, width=width),
+    lambda s, width: check_decodability(s, samples=100, width=width),
+    lambda s, width: check_decodability(s, samples=width),
+    lambda s, width: converse_spot_checks(s, width=width),
+])
+def test_a_width_or_sample_count_below_one_is_rejected(check, width):
+    # each used to check nothing and pass, even on the leaking C and a broken decoder
+    for s in (build_scheme_c(3, F5), tampered_decoder(example_scheme(5))):
+        with pytest.raises(InvalidArgument):
+            check(s, width)
 
 
 # the oracle workload's triangle configs, one clean and one leaking
