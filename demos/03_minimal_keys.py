@@ -35,7 +35,7 @@ for t_u in (0, 1, 2):
     rz, rzs = key_lower(top, 1, t_u)
     sweep = sweep_security(scheme, 1, t_u, method="rank")
     print(f"t_u={t_u}: conditions hold={conds.all_hold}, "
-          f"decodable={check_decodability(scheme, samples=2000, seed=t_u)}, "
+          f"decodable={check_decodability(scheme, samples=2000, seed=t_u).passed}, "
           f"security {sweep.passed}/{sweep.checked}")
     print(f"   achieved (r_z, r_zsigma) = ({achieved.r_z}, {achieved.r_zsigma});"
           f" lower bounds = ({rz}, {rzs})  ->  "

@@ -45,6 +45,7 @@ from .topology import (
 )
 from .verify import (
     CollusionPattern,
+    Decodability,
     LinearView,
     adversary_view,
     check_decodability,

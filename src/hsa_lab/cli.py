@@ -26,6 +26,7 @@ from .errors import (
     HsaLabError,
     InvalidArgument,
     ProtocolViolation,
+    TooLargeToEnumerate,
     as_int,
 )
 from .gf import FieldMatrix, PrimeField
@@ -55,7 +56,6 @@ BOUNDS_SCHEMA = "hsa-lab/bounds/1"
 
 DEFAULT_ENUMERATION_CAP = 10**7
 DEFAULT_SWEEP_BUDGET = 100_000
-DEFAULT_SAMPLED_ROUNDS = 10_000
 
 _EXIT_OK = 0
 _EXIT_VERIFICATION = 1
@@ -242,21 +242,10 @@ def bounds_fragment(cfg: RunConfig, rep: bounds_mod.BoundsReport) -> dict:
     return frag
 
 
-def _decodability_block(cfg: RunConfig, scheme: Scheme) -> dict:
-    # the exhaustive mode enumerates width-1 columns whatever the block width
-    states = cfg.field.q ** (cfg.topology.N * cfg.topology.n + scheme.seed_count)
-    if states <= cfg.enumeration_cap:
-        ok = verify_mod.check_decodability(scheme, samples=None, width=cfg.block_width,
-                                           cap=cfg.enumeration_cap)
-        return {"mode": "exhaustive", "states": states, "passed": ok}
-    ok = verify_mod.check_decodability(scheme, samples=DEFAULT_SAMPLED_ROUNDS,
-                                       width=cfg.block_width, seed=cfg.seed)
-    return {"mode": "sampled", "samples": DEFAULT_SAMPLED_ROUNDS, "passed": ok}
-
-
 def verify_blocks(cfg: RunConfig, scheme: Scheme, all_sizes: Optional[bool]) -> tuple[dict, bool]:
     """Run decodability, the rank sweep and the oracle sweep; return (report, ok)."""
-    deco = _decodability_block(cfg, scheme)
+    deco = verify_mod.check_decodability(scheme, width=cfg.block_width, seed=cfg.seed,
+                                         cap=cfg.enumeration_cap)
     rank_sweep = verify_mod.sweep_security(
         scheme, cfg.t_h, cfg.t_u, budget=cfg.sweep_budget, all_sizes=all_sizes,
         method="rank", seed=cfg.seed)
@@ -264,21 +253,20 @@ def verify_blocks(cfg: RunConfig, scheme: Scheme, all_sizes: Optional[bool]) -> 
         scheme, cfg.t_h, cfg.t_u, budget=cfg.sweep_budget, all_sizes=all_sizes,
         method="oracle", width=cfg.block_width, oracle_cap=cfg.enumeration_cap,
         seed=cfg.seed)
-    structural: dict = {}
     if scheme.variant == VARIANT_LINK_KEYS:
-        structural["mask_cancellation"] = link_key_constraint_ok(scheme)
+        structural = {"mask_cancellation": link_key_constraint_ok(scheme)}
         structural_ok = structural["mask_cancellation"]
     else:
         conds = check_weighted_conditions(scheme)
         structural = asdict(conds)
         structural_ok = conds.all_hold
     blocks = {
-        "decodability": deco,
+        "decodability": deco.as_dict(),
         "structural": structural,
         "security_rank": rank_sweep.as_dict(),
         "security_oracle": oracle_sweep.as_dict(),
     }
-    ok = deco["passed"] and structural_ok and rank_sweep.all_passed and oracle_sweep.all_passed
+    ok = deco.passed and structural_ok and rank_sweep.all_passed and oracle_sweep.all_passed
     return blocks, ok
 
 
@@ -308,23 +296,18 @@ def _comparison_rows(achieved, lower: bounds_mod.BoundsReport) -> list[dict]:
     return rows
 
 
-def _converse_block(cfg: RunConfig, scheme: Scheme,
-                    lower: bounds_mod.BoundsReport) -> Optional[dict]:
-    # the enumerated key identities are guaranteed only in the bounds' special case
-    if lower.special_case != bounds_mod.SPECIAL_CASE_PAIR_CYCLIC:
-        return None
-    states = cfg.field.q ** (scheme.seed_count * cfg.block_width)
-    if states > cfg.enumeration_cap:
+def _converse_block(cfg: RunConfig, scheme: Scheme) -> dict:
+    try:
+        return verify_mod.converse_spot_checks(scheme, width=cfg.block_width,
+                                               cap=cfg.enumeration_cap).as_dict()
+    except TooLargeToEnumerate:  # past the cap, or an image too wide to key
         return {"skipped": "cap"}
-    checks = verify_mod.converse_spot_checks(scheme, width=cfg.block_width,
-                                             cap=cfg.enumeration_cap)
-    return checks.as_dict()
 
 
 def report_document(cfg: RunConfig, all_sizes: Optional[bool]) -> tuple[dict, bool]:
     t0 = time.monotonic()
     lower = bounds_mod.bounds_report(cfg.topology, cfg.t_h, cfg.t_u, cap=cfg.enumeration_cap)
-    doc = {**bounds_fragment(cfg, lower), "schema": REPORT_SCHEMA}
+    doc = bounds_fragment(cfg, lower) | {"schema": REPORT_SCHEMA}
     if not lower.feasible:
         doc["verdict"] = "infeasible"
         doc["timing"] = {"seconds": round(time.monotonic() - t0, 3)}
@@ -337,9 +320,9 @@ def report_document(cfg: RunConfig, all_sizes: Optional[bool]) -> tuple[dict, bo
     doc["comparison"] = _comparison_rows(achieved, lower)
     blocks, ok = verify_blocks(cfg, scheme, all_sizes)
     doc.update(blocks)
-    conv = _converse_block(cfg, scheme, lower)
-    if conv is not None:
-        doc["converse"] = conv
+    # the enumerated key identities are guaranteed only in the bounds' special case
+    if lower.special_case == bounds_mod.SPECIAL_CASE_PAIR_CYCLIC:
+        doc["converse"] = _converse_block(cfg, scheme)
     defect = any(row["status"] == "defect" for row in doc["comparison"])
     doc["verdict"] = "pass" if (ok and not defect) else "fail"
     doc["timing"] = {"seconds": round(time.monotonic() - t0, 3)}
@@ -391,7 +374,7 @@ def cmd_verify(args) -> int:
     all_sizes = True if args.all_sizes else None
     blocks, ok = verify_blocks(cfg, scheme, all_sizes)
     doc = {"schema": REPORT_SCHEMA, "config": cfg.raw,
-           "verdict": "pass" if ok else "fail", **blocks}
+           "verdict": "pass" if ok else "fail"} | blocks
     dump_json(doc, out)
     return _EXIT_OK if ok else _EXIT_VERIFICATION
 
@@ -458,18 +441,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
     except HsaLabError as exc:
-        # work past a cap the run cannot skip is the config's to change: exit 2
+        # a ConfigError, or work past a cap the run cannot skip, is the config's to change
         if isinstance(exc, (ConstructionFailed, ProtocolViolation)):
             print(f"run failed: {exc}", file=sys.stderr)
             return _EXIT_VERIFICATION
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except MemoryError as exc:
-        # e.g. variant A at q near 2**31 draws from a q-element permutation
+        # e.g. variant A at q near 2^31 draws from a q-element permutation
         print(f"run failed: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
         return _EXIT_VERIFICATION
 

@@ -49,6 +49,13 @@ def _at_least_one(value: int, what: str):
         raise InvalidArgument(f"{what} must be at least 1, got {value}")
 
 
+def _states(q: int, n_vars: int, cap: int) -> int:
+    """q**n_vars, the states of a grid to enumerate; raises TooLargeToEnumerate past cap."""
+    if (states := q ** n_vars) > cap:
+        raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
+    return states
+
+
 @dataclass(frozen=True)
 class CollusionPattern:
     """One adversary instance: a set of relays and a set of users."""
@@ -268,6 +275,11 @@ class OracleResult:
     states: int
 
 
+def _oracle_states(s: Scheme, width: int, cap: int) -> int:
+    """mi_oracle's `states`, within cap: every input and seed of the whole block."""
+    return _states(s.field.q, (s.topology.N * s.topology.n + s.seed_count) * width, cap)
+
+
 def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
               cap: int = 10**8) -> OracleResult:
     """Brute-force mutual information of (inputs; view | colluders' data).
@@ -287,11 +299,7 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     """
     _at_least_one(width, "block width")
     p.validate(s)
-    q = s.field.q
-    n_vars = (s.topology.N * s.topology.n + s.seed_count) * width
-    total = q ** n_vars
-    if total > cap:
-        raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
+    q, total = s.field.q, _oracle_states(s, width, cap)
     # the view V = [V_w | V_s] without the colluders' input columns, and their key rows
     view, n, k = adversary_view(s, p), s.topology.n, s.keys_per_user
     v_s = view.c_r.a
@@ -313,10 +321,8 @@ def cond_entropy_enumerated(a_map: FieldMatrix, b_map: FieldMatrix,
     """
     if a_map.cols != b_map.cols or a_map.field != b_map.field:
         raise InvalidArgument("maps must share a field and a seed space")
-    q = a_map.field.q
-    if q ** a_map.cols > cap:
-        raise TooLargeToEnumerate(f"{q}**{a_map.cols} states exceed the cap {cap}")
-    return _cond_entropy(a_map.a, b_map.a, q)
+    _states(a_map.field.q, a_map.cols, cap)
+    return _cond_entropy(a_map.a, b_map.a, a_map.field.q)
 
 
 # -- decodability --------------------------------------------------------------
@@ -332,43 +338,54 @@ def _simulate_columns(s: Scheme, columns: np.ndarray) -> bool:
     return not run_round(s, inputs, keys=keys).mismatch
 
 
-def check_decodability(s: Scheme, samples: Optional[int] = None, width: int = 1,
-                       seed: int = 0, cap: int = 10**8) -> bool:
+@dataclass(frozen=True)
+class Decodability:
+    """check_decodability's verdict, "exhaustive" over `states` width-1 columns
+    or "sampled" over `samples` rounds of the block width (the other is None)."""
+
+    mode: str
+    passed: bool
+    states: Optional[int] = None
+    samples: Optional[int] = None
+
+    def as_dict(self) -> dict:
+        return {key: value for key, value in asdict(self).items() if value is not None}
+
+
+def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
+                       seed: int = 0, cap: int = 10**8) -> Decodability:
     """Simulate rounds and check decode == direct sum, plus the certificate.
 
-    samples=None runs every (inputs, seeds) assignment exactly once
-    (chunked, so memory stays bounded); each column of a width-w block is
-    an independent round, so that is exhaustive for every width.
-    Otherwise samples * width random int64 columns are drawn.  Either way the
-    columns enter the round in the narrowest signed dtype that holds
-    (q - 1)**2; each kernel widens on its own to a dtype that holds its
-    bound, so the verdict is an int64 round's.  The algebraic cancellation
-    certificate is asserted in both modes, and the result is the
+    If the q**(N*n + seeds) assignments of inputs and seeds are at most cap,
+    each runs exactly once (chunked, so memory stays bounded); each column
+    of a width-w block is an independent round, so that is exhaustive for
+    every width.  Otherwise samples * width random int64 columns are drawn.
+    Either way the columns enter the round in the narrowest signed dtype
+    that holds (q - 1)**2; each kernel widens on its own to a dtype that
+    holds its bound, so the verdict is an int64 round's.  The algebraic
+    cancellation certificate is asserted in both modes, and `passed` is the
     conjunction, so a disagreement between simulation and certificate can
     only surface as a failure.
 
     Raises:
         InvalidArgument: if width < 1 or samples < 1.
-        TooLargeToEnumerate: exhaustive state space above cap.
     """
     _at_least_one(width, "block width")
-    if samples is not None:
-        _at_least_one(samples, "samples")
+    _at_least_one(samples, "samples")
     top, q = s.topology, s.field.q
     n_vars = top.N * top.n + s.seed_count
     # every product of the round widens its operands to at least a dtype that holds one
     # term, (q - 1)**2, so narrower columns would only be cast up again in each product
     dtype = gf._narrowest((q - 1) ** 2)
-    if samples is None:
-        if q ** n_vars > cap:
-            raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
+    if (states := q ** n_vars) <= cap:
+        mode, count = "exhaustive", {"states": states}
         sim_ok = all(_simulate_columns(s, chunk) for chunk in _assignments(q, n_vars, dtype))
     else:
+        mode, count = "sampled", {"samples": samples}
         rng = np.random.default_rng(seed)
         sim_ok = _simulate_columns(s, rng.integers(0, q, size=(n_vars, samples * width),
                                                    dtype=np.int64).astype(dtype, copy=False))
-
-    return sim_ok and link_key_constraint_ok(s)
+    return Decodability(mode, sim_ok and link_key_constraint_ok(s), **count)
 
 
 # -- pattern sweeps ------------------------------------------------------------
@@ -470,12 +487,13 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
         all_sizes = s.topology.N <= 6 and s.topology.K <= 6
     total = count_patterns(s.topology, t_h, t_u, all_sizes)
     report = SweepReport(method=method, all_sizes=all_sizes, total_patterns=total)
-    n_vars = s.topology.N * s.topology.n + s.seed_count
-    if method == "oracle" and s.field.q ** (n_vars * width) > oracle_cap:
-        # mi_oracle's cap does not depend on the pattern: skip them all unbuilt
-        report.checked = report.skipped_cap = min(total, budget)
-        report.subsampled = total > budget
-        return report
+    if method == "oracle":
+        try:
+            _oracle_states(s, width, oracle_cap)
+        except TooLargeToEnumerate:  # the cap does not depend on the pattern: skip them all
+            report.checked = report.skipped_cap = min(total, budget)
+            report.subsampled = total > budget
+            return report
     if total > budget:
         patterns: Iterable[CollusionPattern] = _reservoir(
             _pattern_tuples(s.topology, t_h, t_u, all_sizes), budget, seed)
@@ -548,9 +566,8 @@ def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> Convers
         TooLargeToEnumerate: if q**(seeds * width) exceeds cap.
     """
     _at_least_one(width, "block width")
-    top, q, n_vars = s.topology, s.field.q, s.seed_count * width
-    if q ** n_vars > cap:
-        raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
+    top = s.topology
+    _states(s.field.q, s.seed_count * width, cap)
     per_link: dict[tuple[int, int], Fraction] = {}
     for i in range(1, top.N + 1):
         others = gf.vstack([s.user_key_map(k).T for k in range(1, top.N + 1) if k != i])

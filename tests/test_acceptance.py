@@ -142,7 +142,7 @@ def test_criterion_01_worked_example_golden():
 def test_criterion_02_exhaustive_decodability():
     budget = Budget(30.0)
     s = example_scheme(3)
-    assert check_decodability(s, samples=None, cap=10**6)  # all 3**10 assignments
+    assert check_decodability(s, cap=10**6).passed  # all 3**10 assignments
     _pass(2, "exhaustive decode over all 59049 seed assignments", budget)
 
 
@@ -193,7 +193,7 @@ def test_criterion_05_weighted_scheme_optimality():
     for t_u in (0, 1, 2):
         s = build_scheme_b(top, field, t_u=t_u, seed=7)
         assert check_weighted_conditions(s).all_hold
-        assert check_decodability(s, samples=10_000, seed=t_u)
+        assert check_decodability(s, samples=10_000, seed=t_u).passed
         rep = sweep_security(s, 1, t_u, all_sizes=True, method="rank")
         assert rep.failed == 0 and rep.checked == rep.total_patterns
         achieved = rates(s)

@@ -183,6 +183,41 @@ def test_exhaustive_decodability_counts_enumerated_columns(tmp_path):
     assert deco == {"mode": "exhaustive", "states": 59049, "passed": True}
 
 
+@pytest.mark.parametrize("below", [False, True], ids=["at count", "one below"])
+@pytest.mark.parametrize("block, exponent", [
+    ("decodability", lambda w: 10),        # q**(N*n + seeds), whatever the width
+    ("converse", lambda w: 4 * w),         # q**(seeds * width)
+    ("security_oracle", lambda w: 10 * w),  # q**((N*n + seeds) * width)
+], ids=["decodability", "converse", "oracle"])
+@pytest.mark.parametrize("width", [1, 2])
+def test_each_certificate_runs_up_to_its_cap(tmp_path, width, block, exponent, below):
+    # A on cyclic(3,2), q=3: 4 seeds, and N*n = 6 inputs
+    cap = 3 ** exponent(width) - below
+    cfg = write_config(tmp_path, field_q=3, block_width=width,
+                       caps={"enumeration": cap, "sweep_budget": 10000})
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    got = read_json(out)[block]
+    if block == "decodability":
+        assert got == ({"mode": "sampled", "samples": 10000, "passed": True} if below else
+                       {"mode": "exhaustive", "states": 59049, "passed": True})
+    elif block == "converse":
+        assert (got == {"skipped": "cap"}) if below else got["all_links_determined"]
+    else:
+        assert got["checked"] == 16 and got["skipped_cap"] == (16 if below else 0)
+
+
+def test_converse_too_wide_to_key_is_skipped(tmp_path, capsys):
+    # 65537**4 states pass the cap, but 4 symbols over F_65537 cannot be keyed in int64:
+    # the converse is skipped, as the oracle sweep counts the same exception
+    cfg = write_config(tmp_path, field_q=65537, caps={"enumeration": 10**20})
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["converse"] == {"skipped": "cap"} and doc["verdict"] == "pass"
+    assert capsys.readouterr().err == ""
+
+
 def test_report_optimal_rows_scheme_b(tmp_path):
     cfg = write_config(tmp_path, topology={"kind": "cyclic", "K": 6, "n": 2},
                        field_q=13, scheme={"variant": "B", "t_u": 2},

@@ -12,6 +12,7 @@ from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme
 from hsa_lab.topology import build_cyclic, build_multiple_cyclic, build_tree
 from hsa_lab.verify import (
     CollusionPattern,
+    Decodability,
     SweepReport,
     _assignments,
     _pattern_tuples,
@@ -246,7 +247,7 @@ def test_assignments_are_the_row_major_enumeration(q, n_vars):
 def test_decodability_exhaustive_small():
     top = build_cyclic(2, 1)
     s = build_scheme_a(top, F3, seed=0)
-    assert check_decodability(s)  # 3**3 assignments
+    assert check_decodability(s) == Decodability("exhaustive", True, states=3**3)
 
 
 @pytest.mark.parametrize("top,q,injected", [
@@ -260,37 +261,44 @@ def test_decodability_exhaustive_grid(top, q, injected):
     field = PrimeField(q)
     d = None if injected is None else FieldMatrix(field, injected)
     s = build_scheme_a(top, field, seed=1, decode_matrix=d)
-    assert check_decodability(s, cap=10**7)
+    assert check_decodability(s, cap=10**7).passed
 
 
 def test_decodability_exhaustive_width():
     s = build_scheme_a(build_cyclic(2, 1), F3, seed=0)
-    assert check_decodability(s, width=2, cap=10**6)  # 3**6 state bound
+    assert check_decodability(s, width=2, cap=10**6).passed  # 3**6 state bound
 
 
 def test_decodability_sampled_and_tampered():
     s = example_scheme(5)
-    assert check_decodability(s, samples=200, seed=1)
-    assert not check_decodability(tampered(s), samples=200, seed=1)
+    assert check_decodability(s, samples=200, seed=1, cap=1).passed
+    assert not check_decodability(tampered(s), samples=200, seed=1, cap=1).passed
 
 
 def test_decodability_cap():
+    # past the cap the decode samples its default 10,000 rounds instead of enumerating
     s = example_scheme(7)
-    with pytest.raises(TooLargeToEnumerate):
-        check_decodability(s, cap=10**3)
+    assert check_decodability(s, cap=7**10 - 1) == Decodability("sampled", True, samples=10_000)
 
 
 def test_decodability_weighted():
     s = build_scheme_b(build_cyclic(6, 2), PrimeField(13), t_u=2, seed=0)
-    assert check_decodability(s, samples=500, seed=2)
+    assert check_decodability(s, samples=500, seed=2).passed
     bad = tampered(s)
-    assert not check_decodability(bad, samples=500, seed=2)
+    assert not check_decodability(bad, samples=500, seed=2).passed
 
 
 def tampered_decoder(scheme, row=0, col=-1):
     d = scheme.decode_matrix.a.copy()
     d[row, col] = (d[row, col] + 1) % scheme.field.q
     return dataclasses.replace(scheme, decode_matrix=FieldMatrix(scheme.field, d))
+
+
+def decode(s, samples, seed):
+    """check_decodability of s: exhaustive if samples is None, else `samples` sampled rounds."""
+    if samples is None:
+        return check_decodability(s, seed=seed)
+    return check_decodability(s, samples=samples, seed=seed, cap=1)
 
 
 def decode_cases():
@@ -311,9 +319,9 @@ def decode_cases():
 def test_narrow_decode_verdicts_equal_the_int64_reference(monkeypatch, scheme, samples):
     # clean schemes pass, and a tampered decode matrix or key map fails, in both dtypes
     cases = [(scheme, True), (tampered(scheme), False), (tampered_decoder(scheme), False)]
-    narrow = [check_decodability(s, samples=samples, seed=4) for s, _ in cases]
+    narrow = [decode(s, samples, 4).passed for s, _ in cases]
     monkeypatch.setattr(gf, "_narrowest", lambda bound, floor=None: np.dtype(np.int64))
-    reference = [check_decodability(s, samples=samples, seed=4) for s, _ in cases]
+    reference = [decode(s, samples, 4).passed for s, _ in cases]
     assert narrow == reference == [passes for _, passes in cases]
 
 
@@ -333,17 +341,16 @@ def test_decode_runs_in_the_narrowest_dtype_its_bound_allows(monkeypatch, q, sam
         return dataclasses.replace(t, mismatch=True)
 
     monkeypatch.setattr(verify, "run_round", first_round)
-    assert not check_decodability(s, samples=samples, seed=0)
+    assert not decode(s, samples, 0).passed
     assert seen == [(np.dtype(columns), np.dtype(decoded))]
 
 
 def test_decode_past_every_dtype_bound_stays_exact_at_the_largest_field():
     # at q = 2**31 - 1 the columns are int64, and the products' bounds are past int64's
     s = build_scheme_c(3, PrimeField(2**31 - 1))
-    assert check_decodability(s, samples=200, seed=1)
-    assert not check_decodability(tampered_decoder(s), samples=200, seed=1)
-    with pytest.raises(TooLargeToEnumerate):
-        check_decodability(s)
+    assert check_decodability(s, samples=200, seed=1).passed
+    assert not check_decodability(tampered_decoder(s), samples=200, seed=1).passed
+    assert check_decodability(s).mode == "sampled"
 
 
 # -- sweeps -----------------------------------------------------------------------
@@ -536,9 +543,9 @@ def test_converse_spot_checks_cap_covers_the_whole_block():
     lambda s, width: mi_oracle(s, CollusionPattern([1], [1]), width=width),
     lambda s, width: sweep_security(s, 1, 1, method="oracle", width=width),
     lambda s, width: sweep_security(s, 1, 1, method="rank", width=width),
-    lambda s, width: check_decodability(s, width=width),
-    lambda s, width: check_decodability(s, samples=100, width=width),
-    lambda s, width: check_decodability(s, samples=width),
+    lambda s, width: check_decodability(s, width=width).passed,
+    lambda s, width: check_decodability(s, samples=100, width=width).passed,
+    lambda s, width: check_decodability(s, samples=width).passed,
     lambda s, width: converse_spot_checks(s, width=width),
 ])
 def test_a_width_or_sample_count_below_one_is_rejected(check, width):
