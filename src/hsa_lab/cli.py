@@ -386,7 +386,7 @@ def cmd_simulate(args) -> int:
     rng = np.random.default_rng(cfg.seed)
     inputs = [FieldMatrix(cfg.field, cfg.field.rand(rng, (cfg.topology.n, cfg.block_width)))
               for _ in range(cfg.topology.N)]
-    transcript = run_round(scheme, inputs, width=cfg.block_width, seed=cfg.seed)
+    transcript = run_round(scheme, inputs, seed=cfg.seed)
     doc = transcript.to_dict()
     doc["direct_sum"] = direct_sum(scheme, inputs).tolist()
     dump_json(doc, out)

@@ -96,19 +96,19 @@ def direct_sum(s: Scheme, inputs) -> FieldMatrix:
     return FieldMatrix._wrap(s.field, _sum(s.field.q, [w.a for w in inputs]))
 
 
-def run_round(s: Scheme, inputs, width: int = 1, seed: int = 0,
+def run_round(s: Scheme, inputs, seed: int = 0,
               keys: KeyMaterial | None = None) -> Transcript:
     """Execute one full round and compare the decode against the direct sum.
 
     `keys` overrides the sampled key material (used to replay transcripts
     and to run the keyless baseline); otherwise seeds are drawn from the
-    given generator seed.
+    given generator seed, one column per input column.
     """
     top = s.topology
     if len(inputs) != top.N:
         raise ShapeError(f"need {top.N} inputs, got {len(inputs)}")
     if keys is None:
-        keys = sample_keys(s, width=width, seed=seed)
+        keys = sample_keys(s, width=inputs[0].cols, seed=seed)
 
     x_msgs: dict[tuple[int, int], np.ndarray] = {}
     inbox: dict[int, dict[int, np.ndarray]] = {j: {} for j in range(1, top.K + 1)}

@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -89,6 +91,20 @@ def test_build_is_byte_deterministic(tmp_path):
     doc = read_json(out1)
     assert doc["schema"] == "hsa-lab/scheme/1"
     assert doc["variant"] == "A"
+
+
+# the benchmark's pinned `construct` invocations, read from its source without importing
+# it as a module; most are B at n_seeds = K - n, where the builder checks no null block
+CONSTRUCT = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "workloads.py"))[
+    "WORKLOADS"]["construct"]
+
+
+@pytest.mark.parametrize("inv", CONSTRUCT, ids=[inv.id for inv in CONSTRUCT])
+def test_build_matches_the_pinned_construct_digest(tmp_path, inv):
+    cfg, out = tmp_path / "config.json", tmp_path / "scheme.json"
+    cfg.write_text(json.dumps(inv.config(0)))
+    assert main(inv.argv(cfg, out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == inv.expect["sha256"]
 
 
 def test_build_scheme_c_writes_closed_form(tmp_path):

@@ -228,7 +228,7 @@ def test_per_link_load_is_width():
     for width in (1, 3):
         rng = np.random.default_rng(1)
         inputs = [FieldMatrix(s.field, s.field.rand(rng, (2, width))) for _ in range(3)]
-        tr = run_round(s, inputs, width=width, seed=0)
+        tr = run_round(s, inputs, seed=0)
         assert len(tr.x_msgs) == s.topology.N * s.topology.n
         assert all(v.shape == (width,) for v in tr.x_msgs.values())
         assert all(v.shape == (width,) for v in tr.y_msgs.values())
@@ -239,9 +239,19 @@ def test_wide_blocks_decode():
     s = build_scheme_c(5, F7)
     rng = np.random.default_rng(8)
     inputs = [FieldMatrix(s.field, s.field.rand(rng, (2, 3))) for _ in range(5)]
-    tr = run_round(s, inputs, width=3, seed=1)
+    tr = run_round(s, inputs, seed=1)
     assert not tr.mismatch
     assert tr.decoded.cols == 3
+
+
+def test_round_reads_the_width_from_its_inputs():
+    s = build_scheme_a(build_cyclic(3, 2), PrimeField(5), seed=0)
+    rng = np.random.default_rng(4)
+    inputs = [FieldMatrix(s.field, s.field.rand(rng, (2, 3))) for _ in range(3)]
+    tr = run_round(s, inputs, seed=2)
+    assert tr.keys.width == tr.decoded.cols == 3
+    assert tr.keys.seeds == sample_keys(s, width=3, seed=2).seeds
+    assert not tr.mismatch
 
 
 def test_transcript_serialization():

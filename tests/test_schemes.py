@@ -12,6 +12,7 @@ from hsa_lab.errors import (
     InfeasibleParameters,
     InvalidArgument,
     NoSuchRoot,
+    SingularMatrix,
 )
 from hsa_lab.gf import FieldMatrix, PrimeField, root_of_unity
 from hsa_lab.schemes import (
@@ -25,7 +26,7 @@ from hsa_lab.schemes import (
     rates,
     sample_keys,
 )
-from hsa_lab.topology import build_cyclic, build_explicit, build_multiple_cyclic
+from hsa_lab.topology import build_cyclic, build_explicit, build_multiple_cyclic, build_tree
 
 F = Fraction
 F5 = PrimeField(5)
@@ -71,12 +72,20 @@ def test_mask_cancellation_on_samples():
 
 
 def test_build_a_sampled_matrix():
-    top = build_cyclic(4, 2)
-    s = build_scheme_a(top, F5, seed=11)
-    assert gf.mds_check(s.decode_matrix)
-    for i in range(1, 5):
-        assert s.encoders[i - 1] @ s.column_block(i) == gf.identity(F5, 2)
-    assert rates(s) == RateTuple(F(1, 2), F(1, 2), F(1), F(3))
+    # one Vandermonde draw on distinct points is MDS, so the builder does not check it
+    for top, q in [(build_cyclic(4, 2), 5),
+                   (build_cyclic(5, 3), 5),            # q = K: the draw permutes the whole field
+                   (build_cyclic(7, 4), 7),            # q = K again, with more rows
+                   (build_multiple_cyclic(4, 2, 2), 11),
+                   (build_tree(3, 2), 13)]:
+        field = PrimeField(q)
+        for seed in range(10):
+            s = build_scheme_a(top, field, seed=seed)
+            assert gf.mds_check(s.decode_matrix), (top, q, seed)
+            for i in range(1, top.N + 1):
+                assert s.encoders[i - 1] @ s.column_block(i) == gf.identity(field, top.n)
+            assert link_key_constraint_ok(s)
+            assert rates(s) == RateTuple(F(1, top.n), F(1, top.n), F(1), F(top.N - 1))
 
 
 def test_build_a_deterministic():
@@ -154,12 +163,17 @@ def test_build_b_hypothesis_violations():
 
 def test_build_b_failure_counts_rejections_by_check():
     # at q = 101 a random completion of the block sum rarely leaves an MDS null block
-    with pytest.raises(ConstructionFailed) as failure:
-        build_scheme_b(build_cyclic(12, 4), PrimeField(101), t_u=2, seed=0, max_attempts=40)
-    rejections = failure.value.rejections
-    assert sum(rejections.values()) == failure.value.attempts == 40
-    assert max(rejections, key=rejections.get) == "null block not MDS"
-    assert f"null block not MDS {rejections['null block not MDS']}" in str(failure.value)
+    for t_u, counts in [(0, {"singular completion": 1, "null block not MDS": 39}),
+                        (2, {"null block not MDS": 40})]:
+        with pytest.raises(ConstructionFailed) as failure:
+            build_scheme_b(build_cyclic(12, 4), PrimeField(101), t_u=t_u, seed=0, max_attempts=40)
+        assert failure.value.rejections == {
+            "Cauchy degenerate": 0, "block sum not MDS": 0, "singular completion": 0,
+            "null block not MDS": 0, "circulant singular": 0, "decoder not MDS": 0} | counts
+        assert failure.value.attempts == 40
+        listed = ", ".join(f"{name} {n}" for name, n in counts.items())
+        assert str(failure.value) == \
+            f"no valid weighted scheme after 40 attempts (rejected: {listed})"
 
 
 def test_build_b_needs_root_of_unity():
@@ -205,6 +219,51 @@ def test_generator_blocks_killed_by_nullspace_columns():
     assert prod.is_zero()
     # its right nullspace has k - seed_count columns exactly when it has full row rank
     assert block_sum.rank() == s.seed_count
+
+
+# one copy at n_seeds = K - n, the case where build_scheme_b checks neither the
+# block sum nor the null block: t_u = K - 2n >= 0; over F_13 an MDS decoder with
+# K >= 8 columns is too rare to build
+_FULL_DUAL = [(k, n, q) for q in (13, 29, 101) for n in (2, 3, 4)
+              for k in range(2 * n, 8 if q == 13 else 10)]
+
+
+@pytest.mark.parametrize("k,n,q", _FULL_DUAL)
+def test_one_copy_full_dual_b_is_mds_by_construction(k, n, q):
+    field = PrimeField(q)
+    for seed in range(15):
+        s = build_scheme_b(build_cyclic(k, n), field, t_u=k - 2 * n, seed=seed)
+        assert s.seed_count == k - n
+        # with one copy the block sum is the Cauchy generator itself
+        assert gf.mds_check(s.key_map)
+        # the null block spans the dual of the MDS code the generator spans
+        assert gf.mds_check(s.decode_matrix @ FieldMatrix(field, s.key_weights.a[:k]).T)
+
+
+@pytest.mark.parametrize("q", [7, 11, 13, 29])
+def test_dual_of_a_cauchy_code_is_mds(q):
+    # builder-free: for any completion of a (K-n) x K Cauchy matrix to an
+    # invertible K x K matrix, the last n columns of its inverse span the
+    # right kernel of the Cauchy rows, the dual of an MDS code
+    field = PrimeField(q)
+    rng = np.random.default_rng(q)
+    checked = 0
+    for _ in range(60):
+        k = int(rng.integers(3, min(q // 2, 9) + 1))
+        n = int(rng.integers(1, k))
+        params = [int(v) for v in rng.permutation(q)[:k - n + k]]
+        alphas, betas = params[:k - n], [-b % q for b in params[k - n:]]
+        generator = gf.cauchy(alphas, betas, field)    # alpha_i + beta_j = a - b != 0
+        extra = FieldMatrix(field, rng.integers(0, q, (n, k)))
+        try:
+            inverse = gf.vstack([generator, extra]).inverse()
+        except SingularMatrix:
+            continue
+        null_block = inverse.take_cols(range(k - n, k))
+        assert (generator @ null_block).is_zero()
+        assert gf.mds_check(null_block.T)
+        checked += 1
+    assert checked >= 30
 
 
 # -- closed-form two-regular scheme -----------------------------------------------

@@ -110,8 +110,9 @@ def test_link_rows_match_wire():
 
 
 def test_view_matches_wire():
-    # the rank route and the oracle both read adversary_view; its rows must
-    # be the coefficients of the messages the protocol actually sends
+    # the oracle reads adversary_view (the rank route gathers Scheme.link_rows
+    # directly); its rows must be the coefficients of the messages the protocol
+    # actually sends
     for s in wire_schemes():
         wire, _ = symbolic_messages(s)
         view = adversary_view(s, CollusionPattern(range(1, s.topology.K + 1), []))
