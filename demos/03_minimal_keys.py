@@ -33,7 +33,7 @@ for t_u in (0, 1, 2):
     conds = check_weighted_conditions(scheme)
     achieved = rates(scheme)
     rz, rzs = key_lower(top, 1, t_u)
-    sweep = sweep_security(scheme, 1, t_u, method="rank")
+    sweep, _ = sweep_security(scheme, 1, t_u)
     print(f"t_u={t_u}: conditions hold={conds.all_hold}, "
           f"decodable={check_decodability(scheme, samples=2000, seed=t_u).passed}, "
           f"security {sweep.passed}/{sweep.checked}")

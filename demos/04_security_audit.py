@@ -46,7 +46,7 @@ for relays in ([1], [1, 2]):
 
 print("\nbeyond the feasibility threshold (two colluding relays) even the")
 print("sound scheme must leak somewhere:")
-report = sweep_security(scheme, 2, 0, all_sizes=False, method="rank")
+report, _ = sweep_security(scheme, 2, 0, all_sizes=False)
 print(f"  {report.failed}/{report.checked} maximal patterns leak; "
       f"first: relays={report.first_failure.relays}")
 leak = mi_oracle(scheme, report.first_failure, cap=10**6)

@@ -243,16 +243,12 @@ def bounds_fragment(cfg: RunConfig, rep: bounds_mod.BoundsReport) -> dict:
 
 
 def verify_blocks(cfg: RunConfig, scheme: Scheme, all_sizes: Optional[bool]) -> tuple[dict, bool]:
-    """Run decodability, the rank sweep and the oracle sweep; return (report, ok)."""
+    """Run decodability, the structural checks and one sweep by both routes; return (report, ok)."""
     deco = verify_mod.check_decodability(scheme, width=cfg.block_width, seed=cfg.seed,
                                          cap=cfg.enumeration_cap)
-    rank_sweep = verify_mod.sweep_security(
+    rank_sweep, oracle_sweep = verify_mod.sweep_security(
         scheme, cfg.t_h, cfg.t_u, budget=cfg.sweep_budget, all_sizes=all_sizes,
-        method="rank", seed=cfg.seed)
-    oracle_sweep = verify_mod.sweep_security(
-        scheme, cfg.t_h, cfg.t_u, budget=cfg.sweep_budget, all_sizes=all_sizes,
-        method="oracle", width=cfg.block_width, oracle_cap=cfg.enumeration_cap,
-        seed=cfg.seed)
+        width=cfg.block_width, oracle_cap=cfg.enumeration_cap, seed=cfg.seed)
     if scheme.variant == VARIANT_LINK_KEYS:
         structural = {"mask_cancellation": link_key_constraint_ok(scheme)}
         structural_ok = structural["mask_cancellation"]

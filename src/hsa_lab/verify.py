@@ -68,10 +68,11 @@ class CollusionPattern:
         object.__setattr__(self, "users", tuple(sorted(set(int(u) for u in users))))
 
     def validate(self, s: Scheme):
+        # the ids are sorted, so only the ends can be out of range
         top = s.topology
-        if any(not 1 <= r <= top.K for r in self.relays):
+        if self.relays and (self.relays[0] < 1 or self.relays[-1] > top.K):
             raise InvalidArgument(f"relay ids out of range in {self}")
-        if any(not 1 <= u <= top.N for u in self.users):
+        if self.users and (self.users[0] < 1 or self.users[-1] > top.N):
             raise InvalidArgument(f"user ids out of range in {self}")
 
 
@@ -467,60 +468,56 @@ def _reservoir(tuples: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], budget
 
 
 def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
-                   all_sizes: Optional[bool] = None, method: str = "rank",
-                   width: int = 1, oracle_cap: int = 10**8, seed: int = 0) -> SweepReport:
-    """Check every collusion pattern at the given budgets.
+                   all_sizes: Optional[bool] = None, width: int = 1,
+                   oracle_cap: int = 10**8, seed: int = 0) -> tuple[SweepReport, SweepReport]:
+    """Check every collusion pattern at the given budgets by rank and by oracle.
 
-    method is "rank", "oracle", or "both"; with "both" any disagreement
-    between the two routes is counted separately from plain failures.
-    Patterns beyond `budget` are randomly subsampled (seeded).  Oracle
-    runs that exceed oracle_cap count as skipped, never as passed.
+    One walk serves both routes and returns (rank report, oracle report).
+    Patterns beyond `budget` are randomly subsampled (seeded).  An oracle
+    run past oracle_cap gives no verdict and counts as skipped, never as
+    passed; if the whole block is past the cap, the oracle is not called.
+    A pattern the routes decide differently is a disagreement in both.
 
     Raises:
-        InvalidArgument: for any other method, or a budget or width below 1.
+        InvalidArgument: for a budget or width below 1.
     """
-    if method not in ("rank", "oracle", "both"):
-        raise InvalidArgument(f"unknown sweep method {method!r}")
     _at_least_one(budget, "sweep budget")
     _at_least_one(width, "block width")
     if all_sizes is None:
         all_sizes = s.topology.N <= 6 and s.topology.K <= 6
     total = count_patterns(s.topology, t_h, t_u, all_sizes)
-    report = SweepReport(method=method, all_sizes=all_sizes, total_patterns=total)
-    if method == "oracle":
-        try:
-            _oracle_states(s, width, oracle_cap)
-        except TooLargeToEnumerate:  # the cap does not depend on the pattern: skip them all
-            report.checked = report.skipped_cap = min(total, budget)
-            report.subsampled = total > budget
-            return report
+    reports = tuple(SweepReport(method, all_sizes, total, subsampled=total > budget)
+                    for method in ("rank", "oracle"))
+    try:
+        _oracle_states(s, width, oracle_cap)  # the cap does not depend on the pattern
+        run_oracle = True
+    except TooLargeToEnumerate:
+        run_oracle = False
     if total > budget:
         patterns: Iterable[CollusionPattern] = _reservoir(
             _pattern_tuples(s.topology, t_h, t_u, all_sizes), budget, seed)
-        report.subsampled = True
     else:
         patterns = iter_patterns(s.topology, t_h, t_u, all_sizes)
 
     for pat in patterns:
-        report.checked += 1
-        rank_ok = oracle_ok = None
-        if method in ("rank", "both"):
-            rank_ok = check_security_rank(s, pat)
-        if method in ("oracle", "both"):
+        verdicts = [check_security_rank(s, pat), None]  # None: no oracle verdict
+        if run_oracle:
             try:
-                oracle_ok = mi_oracle(s, pat, width=width, cap=oracle_cap).is_zero
-            except TooLargeToEnumerate:
+                verdicts[1] = mi_oracle(s, pat, width=width, cap=oracle_cap).is_zero
+            except TooLargeToEnumerate:  # an image with too many symbols to key
+                pass
+        disagree = verdicts[1] is not None and verdicts[0] != verdicts[1]
+        for report, ok in zip(reports, verdicts):
+            report.checked += 1
+            report.disagreements += disagree
+            if ok is None:
                 report.skipped_cap += 1
-        if rank_ok is not None and oracle_ok is not None and rank_ok != oracle_ok:
-            report.disagreements += 1
-        verdicts = [v for v in (rank_ok, oracle_ok) if v is not None]
-        if verdicts and all(verdicts):
-            report.passed += 1
-        elif verdicts:
-            report.failed += 1
-            if report.first_failure is None:
-                report.first_failure = pat
-    return report
+            elif ok:
+                report.passed += 1
+            else:
+                report.failed += 1
+                report.first_failure = report.first_failure or pat
+    return reports
 
 
 # -- converse spot checks -------------------------------------------------------

@@ -149,11 +149,11 @@ def test_criterion_02_exhaustive_decodability():
 def test_criterion_03_dual_method_security():
     budget = Budget(60.0)
     s = example_scheme(3)
-    maximal = sweep_security(s, 1, 1, all_sizes=False, method="both", oracle_cap=10**6)
-    assert maximal.checked == 9 and maximal.passed == 9
-    assert maximal.failed == 0 and maximal.disagreements == 0 and maximal.skipped_cap == 0
-    lattice = sweep_security(s, 1, 1, all_sizes=True, method="both", oracle_cap=10**6)
-    assert lattice.checked == 16 and lattice.passed == 16 and lattice.failed == 0
+    for maximal in sweep_security(s, 1, 1, all_sizes=False, oracle_cap=10**6):
+        assert maximal.checked == 9 and maximal.passed == 9
+        assert maximal.failed == 0 and maximal.disagreements == 0 and maximal.skipped_cap == 0
+    for lattice in sweep_security(s, 1, 1, all_sizes=True, oracle_cap=10**6):
+        assert lattice.checked == 16 and lattice.passed == 16 and lattice.failed == 0
     for pat in iter_patterns(s.topology, 1, 1, all_sizes=True):
         assert mi_oracle(s, pat, cap=10**6).mi_value == 0
     _pass(3, "all 9 maximal and 16 lattice patterns: rank and oracle agree at MI=0", budget)
@@ -181,7 +181,7 @@ def test_criterion_04_link_key_scheme_rates():
         # the extremal feasible budgets pass a full maximal rank sweep
         t_h = max_t_h
         t_u = collusion_threshold(top, t_h) - 1
-        rep = sweep_security(s, t_h, t_u, all_sizes=False, method="rank")
+        rep, _ = sweep_security(s, t_h, t_u, all_sizes=False)
         assert rep.failed == 0 and not rep.subsampled, name
     _pass(4, "link-key scheme builds at rates (1/n, 1/n, 1, N-1) on all five topologies", budget)
 
@@ -194,7 +194,7 @@ def test_criterion_05_weighted_scheme_optimality():
         s = build_scheme_b(top, field, t_u=t_u, seed=7)
         assert check_weighted_conditions(s).all_hold
         assert check_decodability(s, samples=10_000, seed=t_u).passed
-        rep = sweep_security(s, 1, t_u, all_sizes=True, method="rank")
+        rep, _ = sweep_security(s, 1, t_u, all_sizes=True)
         assert rep.failed == 0 and rep.checked == rep.total_patterns
         achieved = rates(s)
         assert achieved == RateTuple(F(1, 2), F(1, 2), F(1, 2), F(t_u + 2, 2))
@@ -229,7 +229,7 @@ def test_criterion_06_closed_form_scheme():
         s = build_scheme_c(n_users, PrimeField(q))
         assert (s.key_map @ s.key_weights @ s.decode_matrix.T).is_zero()
         assert check_weighted_conditions(s).all_hold
-        rep = sweep_security(s, 1, n_users - 3, all_sizes=False, method="rank")
+        rep, _ = sweep_security(s, 1, n_users - 3, all_sizes=False)
         assert rep.checked == rep.total_patterns and rep.failed == 0
         assert rates(s).r_zsigma == F(n_users - 1, 2)
         assert rates(s).r_z == F(1, 2)
@@ -250,7 +250,7 @@ def test_criterion_07_infeasibility_thresholds():
                     assert feasibility(top, t_h, t_u) == expected, (k, n, t_h, t_u)
     # beyond the relay threshold the link-key scheme must leak somewhere
     s = example_scheme(3)
-    rep = sweep_security(s, 2, 0, all_sizes=False, method="rank")
+    rep, _ = sweep_security(s, 2, 0, all_sizes=False)
     assert rep.failed >= 1
     leak = mi_oracle(s, rep.first_failure, cap=10**6)
     assert not leak.is_zero and leak.mi_value > 0
@@ -413,7 +413,7 @@ def test_oracle_sweep_over_ten_million_states():
     # A on cyclic(3,2), q=5: 16 lattice patterns over 5**10 inputs and seeds each
     budget = Budget(2.0)
     s = build_scheme_a(build_cyclic(3, 2), PrimeField(5), seed=0)
-    rep = sweep_security(s, 1, 1, all_sizes=True, method="oracle", oracle_cap=10**7)
+    _, rep = sweep_security(s, 1, 1, all_sizes=True, oracle_cap=10**7)
     assert (rep.checked, rep.passed, rep.skipped_cap) == (16, 16, 0)
     assert mi_oracle(s, next(iter_patterns(s.topology, 1, 1, True)), cap=10**7).states == 5**10
     print(f"oracle sweep: PASS - 16 patterns of 5**10 states each ({budget.check():.1f}s)")

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hsa_lab import verify
 from hsa_lab.cli import main
+from hsa_lab.schemes import Scheme
 
 BASE = {
     "schema": "hsa-lab/config/1",
@@ -93,10 +96,11 @@ def test_build_is_byte_deterministic(tmp_path):
     assert doc["variant"] == "A"
 
 
-# the benchmark's pinned `construct` invocations, read from its source without importing
-# it as a module; most are B at n_seeds = K - n, where the builder checks no null block
-CONSTRUCT = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "workloads.py"))[
-    "WORKLOADS"]["construct"]
+# the benchmark's invocations, read from its source without importing it as a module;
+# most `construct` builds are B at n_seeds = K - n, where the builder checks no null block
+WORKLOADS = runpy.run_path(str(Path(__file__).parents[1] / "benchmarks" / "workloads.py"))[
+    "WORKLOADS"]
+CONSTRUCT = WORKLOADS["construct"]
 
 
 @pytest.mark.parametrize("inv", CONSTRUCT, ids=[inv.id for inv in CONSTRUCT])
@@ -105,6 +109,72 @@ def test_build_matches_the_pinned_construct_digest(tmp_path, inv):
     cfg.write_text(json.dumps(inv.config(0)))
     assert main(inv.argv(cfg, out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == inv.expect["sha256"]
+
+
+# sha256 of each seed-0 `oracle` and `rank` report without its `timing` block,
+# re-dumped with sorted keys and an indent of 2
+REPORT_DIGESTS = {
+    "triangle-A-q3": "e4a12b909b39dcc8aa471c1845e4ee1f43c52d89b4c40b0799aa446a6a5dacaa",
+    "tree22-A-q7": "c3d620cdb87c8c2361460233d9a8af6a78a9887766e015bc9f2144c7003acf73",
+    "triangle-C-q5-leak": "d06f12ec7eae33ee941f3ba99d6311870f81da148c54e38b16394eb0e5a01cb7",
+    "readme-B": "e6ce026e737216c25f5dced90283b1fda2ec12640a4b857f28748cd16c9894de",
+    "mc-B": "ab884f7cf7a972db51034630166925d17e5950896007160f972ccc53386a74a5",
+    "tree-A": "597cd2092c592970a3dde291603b3d6518c9bfb0bcdf7b9ee97a93a752c30e0f",
+    "C7": "4e2ab0f9158e3e0865002018c4ef263c49fcd509e3ed4ea873db825896871709",
+    "cyc12-A-sub": "781c5cf0f4b652b661853cb70a0e63b7522ba41d0d02782bf4f95c8cc142499c",
+}
+REPORTS = WORKLOADS["oracle"] + WORKLOADS["rank"]
+
+
+@pytest.mark.parametrize("inv", REPORTS, ids=[inv.id for inv in REPORTS])
+def test_report_matches_the_pinned_report_digest(tmp_path, inv):
+    cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(inv.config(0)))
+    assert main(inv.argv(cfg, out)) == inv.expect["exit"]
+    doc = read_json(out)
+    doc.pop("timing")
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True, indent=2).encode()).hexdigest()
+    assert digest == REPORT_DIGESTS[inv.id]
+
+
+@pytest.mark.parametrize("inv_id, streamed", [("cyc12-A-sub", 0), ("triangle-A-q3", 1)])
+def test_a_report_walks_its_patterns_once(tmp_path, monkeypatch, inv_id, streamed):
+    # every walk enumerates _pattern_tuples; a sweep within its budget streams
+    # them through iter_patterns, a subsampled one through the reservoir
+    walks = dict.fromkeys(["_pattern_tuples", "iter_patterns"], 0)
+    for name in walks:
+        def counted(*args, _name=name, _real=getattr(verify, name)):
+            walks[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(verify, name, counted)
+    inv = next(inv for inv in REPORTS if inv.id == inv_id)
+    cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(inv.config(0)))
+    assert main(inv.argv(cfg, out)) == 0
+    assert walks == {"_pattern_tuples": 1, "iter_patterns": streamed}
+
+
+def test_a_route_disagreement_fails_both_reports_and_the_run(tmp_path, monkeypatch):
+    flipped, real = verify.CollusionPattern([1], [2]), verify.mi_oracle
+
+    def flip_one(s, p, **kwargs):
+        result = real(s, p, **kwargs)
+        return dataclasses.replace(result, is_zero=not result.is_zero) if p == flipped else result
+
+    monkeypatch.setattr(verify, "mi_oracle", flip_one)
+    cfg = write_config(tmp_path, field_q=3)
+    scheme_path = tmp_path / "scheme.json"
+    assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
+    rank, oracle = verify.sweep_security(Scheme.from_dict(read_json(scheme_path)), 1, 1,
+                                         oracle_cap=10**6)
+    assert rank.disagreements == oracle.disagreements == 1
+    assert (rank.failed, oracle.failed) == (0, 1) and oracle.first_failure == flipped
+    assert not rank.all_passed and not oracle.all_passed
+    out = tmp_path / "report.json"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 1
+    doc = read_json(out)
+    assert doc["verdict"] == "fail"
+    assert doc["security_rank"]["disagreements"] == doc["security_oracle"]["disagreements"] == 1
 
 
 def test_build_scheme_c_writes_closed_form(tmp_path):
@@ -310,17 +380,15 @@ def test_report_infeasible(tmp_path):
     assert read_json(out)["verdict"] == "infeasible"
 
 
-def test_thread_cap_env_var(tmp_path, monkeypatch):
+def test_verify_is_byte_deterministic(tmp_path):
     cfg = write_config(tmp_path, field_q=3)
     scheme_path = tmp_path / "scheme.json"
     assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
     o1, o2 = tmp_path / "v1.json", tmp_path / "v2.json"
-    assert main(["verify", "--config", str(cfg), "--scheme", str(scheme_path),
-                 "--out", str(o1)]) == 0
-    monkeypatch.setenv("HSA_LAB_THREADS", "3")
-    assert main(["verify", "--config", str(cfg), "--scheme", str(scheme_path),
-                 "--out", str(o2)]) == 0
-    assert read_json(o1) == read_json(o2)
+    for out in (o1, o2):
+        assert main(["verify", "--config", str(cfg), "--scheme", str(scheme_path),
+                     "--out", str(out)]) == 0
+    assert o1.read_bytes() == o2.read_bytes()
 
 
 def test_artifact_field_names_frozen(tmp_path):

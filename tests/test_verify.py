@@ -123,9 +123,14 @@ def test_view_matches_wire():
 
 
 def test_view_validates_ids():
-    s = example_scheme()
-    with pytest.raises(InvalidArgument):
-        adversary_view(s, CollusionPattern([9], []))
+    s = example_scheme()  # K = N = 3
+    CollusionPattern([1, 3], [1, 3]).validate(s)
+    # an id past either end of the relays or of the users, for every check of one pattern
+    for relays, users in [([9], []), ([0], []), ([1, 4], []), ([-1, 2], [1]), ([], [0, 1]),
+                          ([2], [3, 4])]:
+        for check in (adversary_view, rank_leak, check_security_rank, mi_oracle):
+            with pytest.raises(InvalidArgument):
+                check(s, CollusionPattern(relays, users))
 
 
 def test_view_row_count_is_sum_of_relay_degrees():
@@ -192,7 +197,7 @@ def test_oracle_cap_covers_the_whole_grid():
         mi_oracle(s, pat, cap=3**10 - 1)
     assert mi_oracle(s, pat, cap=3**10).states == 3**10
     readme_b = build_scheme_b(build_cyclic(6, 2), PrimeField(13), 2, seed=7)
-    rep = sweep_security(readme_b, 1, 2, method="oracle", oracle_cap=10**6)
+    _, rep = sweep_security(readme_b, 1, 2, oracle_cap=10**6)
     assert (rep.checked, rep.skipped_cap, rep.passed, rep.failed) == (154, 154, 0, 0)
 
 
@@ -359,26 +364,25 @@ def test_decode_past_every_dtype_bound_stays_exact_at_the_largest_field():
 
 def test_sweep_counts_and_pass():
     s = example_scheme()
-    rep = sweep_security(s, 1, 1, all_sizes=False)
-    assert rep.total_patterns == 9 and rep.checked == 9
-    assert rep.passed == 9 and rep.failed == 0
-    rep_all = sweep_security(s, 1, 1, all_sizes=True)
-    assert rep_all.total_patterns == 16 and rep_all.passed == 16
+    for rep in sweep_security(s, 1, 1, all_sizes=False):
+        assert rep.total_patterns == 9 and rep.checked == 9
+        assert rep.passed == 9 and rep.failed == 0
+    for rep_all in sweep_security(s, 1, 1, all_sizes=True):
+        assert rep_all.total_patterns == 16 and rep_all.passed == 16
     assert count_patterns(s.topology, 1, 1, True) == 16
 
 
 def test_sweep_first_failure():
     s = example_scheme()
-    rep = sweep_security(s, 2, 0, all_sizes=False)
+    rep, _ = sweep_security(s, 2, 0, all_sizes=False)
     assert rep.failed >= 1
     assert rep.first_failure is not None
     assert not check_security_rank(s, rep.first_failure)
 
 
-@pytest.mark.parametrize("kwargs", [{"method": "rnak"}, {"method": "Rank"}, {"budget": 0},
-                                    {"budget": -3}])
-def test_sweep_rejects_an_unknown_method_and_an_empty_budget(kwargs):
-    # a typo or a zero budget would check nothing and still report all_passed
+@pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -3}])
+def test_sweep_rejects_an_empty_budget(kwargs):
+    # a zero budget would check nothing and still report all_passed
     with pytest.raises(InvalidArgument):
         sweep_security(example_scheme(), 1, 1, **kwargs)
 
@@ -387,8 +391,8 @@ def test_sweep_budget_subsampling_is_deterministic():
     s = build_scheme_a(build_cyclic(6, 2), F7, seed=0)
     r1 = sweep_security(s, 1, 2, budget=10, all_sizes=True, seed=5)
     r2 = sweep_security(s, 1, 2, budget=10, all_sizes=True, seed=5)
-    assert r1.subsampled and r1.checked == 10
-    assert r1.as_dict() == r2.as_dict()
+    assert all(r.subsampled and r.checked == 10 for r in r1)
+    assert [r.as_dict() for r in r1] == [r.as_dict() for r in r2]
 
 
 @pytest.mark.parametrize("top, t_h, t_u, all_sizes, budget, seed", [
@@ -423,22 +427,22 @@ def test_block_draws_equal_scalar_draws_across_two_to_the_32():
 
 def test_sweep_oracle_and_both():
     s = example_scheme()
-    rep = sweep_security(s, 1, 1, all_sizes=True, method="both", oracle_cap=10**6)
-    assert rep.passed == 16 and rep.disagreements == 0 and rep.skipped_cap == 0
-    capped = sweep_security(s, 1, 1, all_sizes=False, method="oracle", oracle_cap=10)
+    for rep in sweep_security(s, 1, 1, all_sizes=True, oracle_cap=10**6):
+        assert rep.passed == 16 and rep.disagreements == 0 and rep.skipped_cap == 0
+    rank, capped = sweep_security(s, 1, 1, all_sizes=False, oracle_cap=10)
     assert capped.skipped_cap == 9 and capped.passed == 0 and capped.failed == 0
+    assert rank.passed == 9 and rank.skipped_cap == 0
 
 
 def test_sweep_both_decides_oracle_skips_by_rank():
     # a skipped oracle run gives no verdict: the rank route alone decides the
     # pattern, and no disagreement is counted with only one route run
     for s in (example_scheme(), keyless(example_scheme())):
-        both = sweep_security(s, 1, 1, all_sizes=True, method="both", oracle_cap=10)
-        rank = sweep_security(s, 1, 1, all_sizes=True, method="rank")
-        assert both.skipped_cap == both.checked == 16 and both.disagreements == 0
-        assert (both.passed, both.failed, both.first_failure) == \
-            (rank.passed, rank.failed, rank.first_failure)
-    assert rank.failed > 0
+        rank, oracle = sweep_security(s, 1, 1, all_sizes=True, oracle_cap=10)
+        assert oracle.skipped_cap == oracle.checked == 16 and oracle.disagreements == 0
+        assert (oracle.passed, oracle.failed, oracle.first_failure) == (0, 0, None)
+        assert rank == sweep_security(s, 1, 1, all_sizes=True, oracle_cap=10**6)[0]
+    assert rank.failed > 0 and rank.disagreements == 0
 
 
 def capped_oracle_sweep(s, t_h, t_u, budget, all_sizes, cap, seed):
@@ -469,12 +473,11 @@ def test_capped_oracle_sweep_equals_the_per_pattern_loop(monkeypatch, make, t_h,
     assert expected.checked == min(expected.total_patterns, budget)
 
     def unreachable(*args, **kwargs):
-        raise AssertionError("a capped oracle sweep built or sampled a pattern")
+        raise AssertionError("a capped oracle sweep called the oracle")
 
-    monkeypatch.setattr(verify, "_pattern_tuples", unreachable)
     monkeypatch.setattr(verify, "mi_oracle", unreachable)
-    got = sweep_security(s, t_h, t_u, budget=budget, all_sizes=all_sizes, method="oracle",
-                         oracle_cap=10, seed=3)
+    _, got = sweep_security(s, t_h, t_u, budget=budget, all_sizes=all_sizes, oracle_cap=10,
+                            seed=3)
     assert got == expected
 
 
@@ -542,8 +545,8 @@ def test_converse_spot_checks_cap_covers_the_whole_block():
 @pytest.mark.parametrize("width", [0, -1])
 @pytest.mark.parametrize("check", [
     lambda s, width: mi_oracle(s, CollusionPattern([1], [1]), width=width),
-    lambda s, width: sweep_security(s, 1, 1, method="oracle", width=width),
-    lambda s, width: sweep_security(s, 1, 1, method="rank", width=width),
+    lambda s, width: sweep_security(s, 1, 1, width=width),
+    lambda s, width: sweep_security(s, 1, 1, width=width, oracle_cap=10),
     lambda s, width: check_decodability(s, width=width).passed,
     lambda s, width: check_decodability(s, samples=100, width=width).passed,
     lambda s, width: check_decodability(s, samples=width).passed,
