@@ -13,11 +13,11 @@ fraction-free forward elimination, which needs no inverses: a row below the
 pivot becomes pivot * row - entry * pivot_row, exact in int64 since
 q <= 2**31.  A reduced form, and with it a modular inverse per pivot, is built
 only by `inverse`.  Every reduction whose size grows with columns or minors
-(the constructor, sums, negation, products, the minor-stack update) goes
-through `_reduce`, x - (x // q) * q, which numpy vectorizes where it does not
-vectorize `%`; the two single-matrix elimination loops keep `%`, since their
-updates touch a few hundred entries, where one `%` costs less than three
-ufunc calls.
+(the constructor, sums, negation, products, the minor-stack and lockstep-rank
+updates) goes through `_reduce`, x - (x // q) * q, which numpy vectorizes
+where it does not vectorize `%`; the two single-matrix elimination loops
+keep `%`, since their updates touch a few hundred entries, where one `%`
+costs less than three ufunc calls.
 """
 
 from __future__ import annotations
@@ -302,6 +302,37 @@ def _all_nonsingular(stack: np.ndarray, q: int) -> bool:
         m[:, k + 1:, k + 1:] = _reduce(pivot_rows[:, k, None, None] * m[:, k + 1:, k + 1:]
                                        - m[:, k + 1:, k, None] * pivot_rows[:, None, k + 1:], q)
     return True
+
+
+def _lockstep_ranks(stack: np.ndarray, q: int) -> np.ndarray:
+    """Ranks over F_q of each matrix of a fresh (B, rows, cols) stack, which
+    is eliminated in place, all matrices together.
+
+    Each step, every matrix that is not yet zero pivots on the first nonzero
+    of its first nonzero column and clears that column from all of its rows
+    fraction-free, pivot * row - row[col] * pivot_row.  The pivot row turns
+    to zero and is independent of the rows left, which all vanish in the
+    column, so the step adds 1 to the rank; after `rows` steps every matrix
+    is zero.  Both products stay below q**2 <= 2**62, so int64 is exact for
+    every q < 2**31.
+    """
+    m = stack.transpose(0, 2, 1)  # (B, cols, rows): column-major order finds the pivot
+    left, (_, cols, rows) = np.arange(len(m)), m.shape
+    ranks = np.zeros(len(m), dtype=np.int64)
+    for _ in range(rows if m.size else 0):
+        nonzero = (m != 0).reshape(len(m), cols * rows)
+        first = nonzero.argmax(axis=1)
+        if not (pivoted := nonzero[np.arange(len(m)), first]).all():
+            left, m, first = left[pivoted], m[pivoted], first[pivoted]
+            if not left.size:
+                break
+        ranks[left] += 1
+        b, (c, p) = np.arange(len(m)), np.divmod(first, rows)
+        pivot_row, column = m[b, :, p], m[b, c]
+        m *= pivot_row[b, c][:, None, None]
+        m -= pivot_row[:, :, None] * column[:, None]
+        _reduce(m, q)
+    return ranks
 
 
 def _rref(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[int]]:

@@ -64,7 +64,7 @@ class Scheme:
     matrix of variant BL, None for variant A.  link_keys (seeds x N*n) and
     link_rows, the coefficients of every wire message that the adversary
     view and the rank route gather, are derived and never serialized, as
-    are the per-relay row table and the seed supports they gather by.
+    are the gather tables stack_rows, stack_supports and stack_index.
     """
 
     variant: str
@@ -127,17 +127,37 @@ class Scheme:
         return rows
 
     @cached_property
-    def relay_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per relay, (user, link_rows row) for each of its links, in relay_links order."""
-        return tuple(tuple((i, self.link_index(i, j)) for i in users)
-                     for j, users in enumerate(self.topology.relay_links, 1))
+    def stack_rows(self) -> np.ndarray:
+        """Read-only: link_rows, then one row per user key (its key_map column
+        over the seeds, zero over the inputs), then a zero row; every row a
+        rank stack gathers, in one table."""
+        big_n, seeds = self.topology.N, self.seed_count
+        keys = np.zeros((self.key_map.cols + 1, seeds + big_n * self.topology.n), dtype=np.int64)
+        keys[:-1, :seeds] = self.key_map.a.T
+        rows = np.vstack([self.link_rows, keys])
+        rows.flags.writeable = False
+        return rows
 
     @cached_property
-    def seed_supports(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Seed-column supports as bitmasks, bit c for seed c: one per link_rows row,
-        then one per user key (a row of key_map.T)."""
-        return tuple(tuple(sum(1 << c for c in np.flatnonzero(row).tolist()) for row in a)
-                     for a in (self.link_keys.a.T, self.key_map.a.T))
+    def stack_supports(self) -> np.ndarray:
+        """Seed supports of stack_rows, packed as bits into uint64 words."""
+        bits = np.packbits(self.stack_rows[:, :self.seed_count] != 0, axis=1, bitorder="little")
+        pad = -bits.shape[1] % 8
+        return np.pad(bits, ((0, 0), (0, pad))).view(np.uint64)
+
+    @cached_property
+    def stack_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of stack_rows by 1-based id, row 0 unused: per relay, the row and
+        the user of each of its links in relay_links order, padded to the
+        largest relay degree with the zero row and user 0; per user, its key rows."""
+        top, k, zero = self.topology, self.keys_per_user, len(self.stack_rows) - 1
+        users = np.zeros((top.K + 1, max(map(len, top.relay_links), default=0)), dtype=np.intp)
+        rows = np.full(users.shape, zero, dtype=np.intp)
+        for j, linked in enumerate(top.relay_links, 1):
+            users[j, :len(linked)] = linked
+            rows[j, :len(linked)] = [self.link_index(i, j) for i in linked]
+        keys = len(self.link_rows) + np.arange(-k, top.N * k, dtype=np.intp).reshape(-1, k)
+        return rows, users, keys
 
     def to_dict(self) -> dict:
         return {

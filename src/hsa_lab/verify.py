@@ -15,17 +15,19 @@ by a known constant, so by independence its column leaves the grid.  Each
 output symbol is evaluated only over its row's support, and a map's count
 over all states is its count there times q per variable outside it.
 Neither step needs elimination.  The rank route reduces the same quotient
-by the known inputs once per pattern, gathered from `Scheme.link_rows`
-without the rows and columns that cannot change the leak (see rank_leak).
-Before any arithmetic it peels, by seed supports alone, every row that is
-the only nonzero of a seed column: such a row is independent of the
-others both in the whole stack and in its seed block, so it adds 1 to
-both ranks and leaves the leak as it is.
+by the known inputs, for a block of same-size patterns at once (see
+rank_leak): one gather of row indices into `Scheme.stack_rows`, without
+the rows that cannot change the leak; a peel, on packed seed supports
+alone, of every row that is the only nonzero of a seed column (such a row
+is independent of the others both in the whole stack and in its seed
+block, so it adds 1 to both ranks and leaves the leak as it is); and one
+lockstep elimination of the block's survivors.  A sweep walks pattern
+indices: it draws its subsample over them and unranks only the patterns
+it checks.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import asdict, dataclass
@@ -42,6 +44,7 @@ from .schemes import Scheme, derive_user_keys, link_key_constraint_ok
 
 _CHUNK_COLUMNS = 1 << 16
 _DRAW_BLOCK = 4096  # reservoir replacement indices drawn per call
+_BLOCK_ENTRIES = 1 << 17  # stack entries per rank-kernel block, at most
 
 
 def _at_least_one(value: int, what: str):
@@ -92,28 +95,51 @@ class LinearView:
 def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
     """Gather the coefficient rows of all messages received by p.relays."""
     p.validate(s)
-    links = [(i, j, row) for j in p.relays for i, row in s.relay_rows[j - 1]]
+    relay_rows, relay_users, _ = s.stack_index
+    links = [(i, j, row) for j in p.relays
+             for i, row in zip(relay_users[j].tolist(), relay_rows[j].tolist()) if i]
     rows, seeds = s.link_rows[[row for _, _, row in links]], s.seed_count
     return LinearView(c_w=FieldMatrix._wrap(s.field, rows[:, seeds:]),
                       c_r=FieldMatrix._wrap(s.field, rows[:, :seeds]),
                       row_labels=tuple((i, j) for i, j, _ in links))
 
 
-def _peel(supports: list[int]) -> list[int]:
-    """Indices of the rows left once every seed column with one nonzero has pivoted.
+def _peel(idx: np.ndarray, supports: np.ndarray, zero: int):
+    """Point each row of the (B, rows) idx that the peel removes at the zero row.
 
-    supports[r] is row r's seed support as a bitmask.  A column in exactly
-    one live row's support pivots on that row, which leaves; repeat.
+    supports[b, r] holds row idx[b, r]'s seed support as packed bits.  A seed
+    column set in exactly one live row's support pivots on that row, which
+    leaves: a row leaves if its support has a bit outside `twice`, the
+    columns set in two rows or more.  Repeat until no row leaves.
     """
-    live = list(range(len(supports)))
-    while True:
-        once = twice = 0
-        for r in live:
-            twice |= once & supports[r]
-            once |= supports[r]
-        if not (single := once & ~twice):
-            return live
-        live = [r for r in live if not supports[r] & single]
+    while supports.any():
+        before = np.bitwise_or.accumulate(supports, axis=1)
+        twice = np.bitwise_or.reduce(supports[:, 1:] & before[:, :-1], axis=1)
+        if not (peeled := (supports & ~twice[:, None]).any(axis=2)).any():
+            return
+        idx[peeled], supports[peeled] = zero, 0
+
+
+def _leaks(s: Scheme, relays: np.ndarray, users: np.ndarray) -> np.ndarray:
+    """rank_leak of each pattern of a block: relays and users are (B, size)
+    arrays of in-range 1-based ids, one pattern per row, of one size."""
+    relay_rows, relay_users, key_rows = s.stack_index
+    zero = len(s.stack_rows) - 1
+    seen = relay_rows[relays]
+    # a colluder's own messages leave the stack (see rank_leak)
+    seen[(relay_users[relays][..., None] == users[:, None, None]).any(axis=3)] = zero
+    idx = np.concatenate([seen.reshape(len(seen), -1), key_rows[users].reshape(len(seen), -1)],
+                         axis=1)
+    _peel(idx, s.stack_supports[idx], zero)
+    live = (idx != zero).sum(axis=1)
+    leaks = np.zeros(len(idx), dtype=np.int64)
+    if (todo := np.flatnonzero(live)).size:
+        idx = idx[todo]
+        seed_ranks = gf._lockstep_ranks(s.stack_rows[:, :s.seed_count][idx], s.field.q)
+        if (short := seed_ranks < live[todo]).any():  # else each seed block has full row rank
+            leaks[todo[short]] = (gf._lockstep_ranks(s.stack_rows[idx[short]], s.field.q)
+                                  - seed_ranks[short])
+    return leaks
 
 
 def rank_leak(s: Scheme, p: CollusionPattern) -> int:
@@ -123,46 +149,31 @@ def rank_leak(s: Scheme, p: CollusionPattern) -> int:
     known input is a unit row on a column no other row conditions on, so it
     adds 1 to every rank and clears its column; with V = [V_w | V_s] the view
     and K_c the colluders' key rows, the leak comes down to
-    rank([V_s | V_w on the free users' inputs ; K_c | 0]) - rank([V_s ; K_c]),
-    which is the number of pivots past the seed columns.  Two exact trims
-    shrink that stack, for every scheme object whatever its matrices:
+    rank([V_s | V_w on the free users' inputs ; K_c | 0]) - rank([V_s ; K_c]).
+    A colluder's message row leaves that stack, for every scheme object
+    whatever its matrices: its input part lies in deleted columns, and its
+    seed part, its link key, is a combination of the colluder's key rows
+    (link_keys = user_key_map @ key_spreads), so it is in the row space of
+    [K_c | 0] and moves neither rank.  An input column no row touches is
+    zero and never pivots, so the stack keeps every input column.
 
-    * a colluder's message row leaves it: its input part lies in deleted
-      columns, and its seed part, its link key, is a combination of the
-      colluder's key rows (link_keys = user_key_map @ key_spreads), so it is
-      in the row space of [K_c | 0] and moves neither rank;
-    * the input columns of a free user with no link in the view leave it:
-      they are zero in every row, and a zero column never pivots.
-
-    Then a peel by seed supports alone (Scheme.seed_supports), before any
-    arithmetic: a row that is the only nonzero of some seed column is
-    independent of the other rows, in the whole stack and in its seed block
-    alike, so it adds 1 to both ranks and leaves without changing the leak.
-    Its removal can leave another seed column with one nonzero, so the peel
-    repeats until none has.  If no row is left the leak is 0; otherwise the
-    survivors are reduced, and the input columns of a free user with no
-    surviving row leave as zero columns.  A survivor with no seed entry
-    stays: if its input part is nonzero it is a leak pivot.
+    The pattern is a block of one for the block kernel the sweep runs on
+    many patterns at once: one gather of row indices into Scheme.stack_rows
+    through Scheme.stack_index, with the colluders' links pointed at its
+    zero row; then a peel on the packed seed supports alone
+    (Scheme.stack_supports), before any arithmetic: a row that is the only
+    nonzero of some seed column is independent of the other rows, in the
+    whole stack and in its seed block alike, so it adds 1 to both ranks and
+    leaves without changing the leak.  Its removal can leave another seed
+    column with one nonzero, so the peel repeats until none has.  If no row
+    is left the leak is 0.  Otherwise the survivors' seed blocks are reduced
+    in one lockstep elimination, and only a stack whose seed block has rank
+    below its count of rows is reduced at full width: the leak is the
+    difference of the two ranks.
     """
     p.validate(s)
-    top, seeds, k = s.topology, s.seed_count, s.keys_per_user
-    seen = [row for j in p.relays for i, row in s.relay_rows[j - 1] if i not in p.users]
-    keys = [(i - 1) * k + t for i in p.users for t in range(k)]
-    link_supports, key_supports = s.seed_supports
-    supports = [link_supports[r] for r in seen] + [key_supports[c] for c in keys]
-    live = _peel(supports)
-    if not live:
-        return 0
-    n_seen = len(seen)
-    seen = [seen[r] for r in live if r < n_seen]
-    keys = [keys[r - n_seen] for r in live if r >= n_seen]
-    users = sorted({row // top.n for row in seen})  # 0-based
-    cols = [*range(seeds), *(seeds + u * top.n + t for u in users for t in range(top.n))]
-    stack = np.zeros((len(live), len(cols)), dtype=np.int64)
-    stack[:len(seen)] = s.link_rows.take(seen, 0).take(cols, 1)
-    stack[len(seen):, :seeds] = s.key_map.a.T.take(keys, 0)
-    pivots = gf.pivots(FieldMatrix._wrap(s.field, stack))
-    return len(pivots) - bisect.bisect_left(pivots, seeds)
+    return int(_leaks(s, *(np.array([ids], dtype=np.intp).reshape(1, -1)
+                            for ids in (p.relays, p.users)))[0])
 
 
 def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
@@ -403,21 +414,16 @@ def iter_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> Iterator[Collusio
     all_sizes walks the full sub-pattern lattice (|relays| <= t_h,
     |users| <= t_u); otherwise only maximal patterns are produced.
     Security of a maximal pattern does not formally imply security of its
-    sub-patterns, hence the lattice option.
+    sub-patterns, hence the lattice option.  The order is by size block,
+    then relay combination, then user combination, each lexicographic; a
+    pattern's place in it is its index.
     """
-    for relays, users in _pattern_tuples(top, t_h, t_u, all_sizes):
-        yield CollusionPattern(relays, users)
-
-
-def _pattern_tuples(top, t_h: int, t_u: int,
-                    all_sizes: bool) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The (relays, users) tuples of iter_patterns, in its order."""
     relay_sizes, user_sizes = _pattern_sizes(t_h, t_u, all_sizes)
     for rs in relay_sizes:
         for us in user_sizes:
             for relays in itertools.combinations(range(1, top.K + 1), rs):
                 for users in itertools.combinations(range(1, top.N + 1), us):
-                    yield relays, users
+                    yield CollusionPattern(relays, users)
 
 
 def count_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> int:
@@ -426,8 +432,57 @@ def count_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> int:
                for rs in relay_sizes for us in user_sizes)
 
 
+def _unrank(index: np.ndarray, n: int, r: int) -> np.ndarray:
+    """The r-combinations of 1..n at the given lexicographic ranks, one per row.
+
+    With its first i ids fixed, the last of them prev, a combination whose
+    next id is c has C(n - prev, t) - C(n + 1 - c, t) predecessors among
+    those sharing the fixed ids (t = r - i), so c = n + 1 - m for the least
+    m with C(m, t) >= C(n - prev, t) - index.  Each table entry is at most
+    C(n, r).
+    """
+    out = np.empty((len(index), r), dtype=np.intp)
+    prev, rest = np.zeros(len(index), dtype=np.intp), index
+    for i in range(r):
+        table = np.array([math.comb(m, r - i) for m in range(n - i + 1)], dtype=np.int64)
+        above = table[n - prev] - rest
+        m = np.searchsorted(table, above)
+        out[:, i] = prev = n + 1 - m
+        rest = table[m] - above
+    return out
+
+
+def _pattern_blocks(top, t_h: int, t_u: int, all_sizes: bool, indices: np.ndarray,
+                    block: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The patterns of iter_patterns at `indices`, unranked in blocks of at
+    most `block` patterns of one size: (places in indices, relays, users) per
+    block, the ids as rows of 1-based arrays.  No other pattern is built."""
+    order = np.argsort(indices, kind="stable")
+    ranked, lo, end = indices[order], 0, 0
+    relay_sizes, user_sizes = _pattern_sizes(t_h, t_u, all_sizes)
+    for rs in relay_sizes:
+        for us in user_sizes:
+            n_users = math.comb(top.N, us)
+            begin, end = end, end + math.comb(top.K, rs) * n_users
+            hi = int(np.searchsorted(ranked, end))
+            for start in range(lo, hi, block):
+                local = ranked[start:min(start + block, hi)] - begin
+                yield (order[start:start + len(local)], _unrank(local // n_users, top.K, rs),
+                       _unrank(local % n_users, top.N, us))
+            lo = hi
+
+
 @dataclass
 class SweepReport:
+    """One route's tally over a sweep.
+
+    all_passed means no pattern failed and the routes never disagreed; it
+    does not mean that anything was decided.  A report whose every pattern
+    was skipped at the cap (skipped_cap == checked, passed == 0) reads as
+    passed: the oracle report of a sweep whose grid exceeds the cap does,
+    and the rank report alone then decides the sweep.
+    """
+
     method: str
     all_sizes: bool
     total_patterns: int
@@ -447,24 +502,24 @@ class SweepReport:
         return asdict(self)
 
 
-def _reservoir(tuples: Iterator[tuple[tuple[int, ...], tuple[int, ...]]], budget: int,
-               seed: int) -> list[CollusionPattern]:
-    """A seeded uniform sample of `budget` patterns; only the kept ones are built.
+def _sample(total: int, budget: int, seed: int) -> np.ndarray:
+    """The indices of a seeded uniform sample of `budget` of `total` patterns,
+    in slot order: the reservoir over the walk, drawn without building a pattern.
 
-    The walk streams in blocks with one draw call each.  numpy draws an
-    array of bounds element by element, so the sample is that of one scalar
-    draw per tuple, and memory stays O(budget + block).
+    Slot i starts with index i, and index k >= budget replaces slot r for a
+    uniform r in [0, k] if r < budget.  The draws come in blocks with one
+    call each; numpy draws an array of bounds element by element, so the
+    sample is that of one scalar draw per index, and memory stays
+    O(budget + block).
     """
     rng = np.random.default_rng(seed)
-    tuples = iter(tuples)
-    chosen = list(itertools.islice(tuples, budget))
-    k = len(chosen)
-    while block := list(itertools.islice(tuples, _DRAW_BLOCK)):
-        draws = rng.integers(0, np.arange(k + 1, k + len(block) + 1))
-        for pos in np.flatnonzero(draws < budget).tolist():
-            chosen[draws[pos]] = block[pos]
-        k += len(block)
-    return [CollusionPattern(relays, users) for relays, users in chosen]
+    chosen = np.arange(budget, dtype=np.int64)
+    for start in range(budget, total, _DRAW_BLOCK):
+        draws = rng.integers(0, np.arange(start + 1, min(start + _DRAW_BLOCK, total) + 1))
+        hits = np.flatnonzero(draws < budget)[::-1]  # latest first: a slot keeps its last draw
+        slots, last = np.unique(draws[hits], return_index=True)
+        chosen[slots] = start + hits[last]
+    return chosen
 
 
 def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
@@ -473,10 +528,16 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
     """Check every collusion pattern at the given budgets by rank and by oracle.
 
     One walk serves both routes and returns (rank report, oracle report).
-    Patterns beyond `budget` are randomly subsampled (seeded).  An oracle
-    run past oracle_cap gives no verdict and counts as skipped, never as
-    passed; if the whole block is past the cap, the oracle is not called.
-    A pattern the routes decide differently is a disagreement in both.
+    Patterns beyond `budget` are randomly subsampled (seeded); the sample
+    is drawn over pattern indices, and only its patterns are unranked.  An
+    oracle run past oracle_cap gives no verdict and counts as skipped,
+    never as passed.  If the grid of the whole block width is past the cap,
+    the oracle is not called, and the rank route checks the patterns in
+    blocks of bounded size (see rank_leak) without building them; where the
+    oracle runs, each pattern is built and checked by check_security_rank
+    and mi_oracle.  A pattern the routes decide differently is a
+    disagreement in both; first_failure is the first failing pattern of
+    the walk.
 
     Raises:
         InvalidArgument: for a budget or width below 1.
@@ -493,30 +554,31 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
         run_oracle = True
     except TooLargeToEnumerate:
         run_oracle = False
-    if total > budget:
-        patterns: Iterable[CollusionPattern] = _reservoir(
-            _pattern_tuples(s.topology, t_h, t_u, all_sizes), budget, seed)
-    else:
-        patterns = iter_patterns(s.topology, t_h, t_u, all_sizes)
-
-    for pat in patterns:
-        verdicts = [check_security_rank(s, pat), None]  # None: no oracle verdict
-        if run_oracle:
+    indices = _sample(total, budget, seed) if total > budget else np.arange(total)
+    rows = t_h * s.stack_index[0].shape[1] + t_u * s.keys_per_user  # of the largest stack
+    block = max(1, _BLOCK_ENTRIES // max(1, rows * s.stack_rows.shape[1]))
+    verdicts = np.full((2, len(indices)), -1, dtype=np.int8)  # 1 passed, 0 failed, -1 none
+    for places, relays, users in _pattern_blocks(s.topology, t_h, t_u, all_sizes, indices,
+                                                 block):
+        if not run_oracle:
+            verdicts[0, places] = _leaks(s, relays, users) == 0
+            continue
+        for place, r, u in zip(places.tolist(), relays.tolist(), users.tolist()):
+            pat = CollusionPattern(r, u)
+            verdicts[0, place] = check_security_rank(s, pat)
             try:
-                verdicts[1] = mi_oracle(s, pat, width=width, cap=oracle_cap).is_zero
+                verdicts[1, place] = mi_oracle(s, pat, width=width, cap=oracle_cap).is_zero
             except TooLargeToEnumerate:  # an image with too many symbols to key
                 pass
-        disagree = verdicts[1] is not None and verdicts[0] != verdicts[1]
-        for report, ok in zip(reports, verdicts):
-            report.checked += 1
-            report.disagreements += disagree
-            if ok is None:
-                report.skipped_cap += 1
-            elif ok:
-                report.passed += 1
-            else:
-                report.failed += 1
-                report.first_failure = report.first_failure or pat
+    disagreements = int(((verdicts[1] >= 0) & (verdicts[0] != verdicts[1])).sum())
+    for report, ok in zip(reports, verdicts):
+        report.checked, report.disagreements = len(ok), disagreements
+        report.passed, report.failed, report.skipped_cap = (int((ok == v).sum())
+                                                            for v in (1, 0, -1))
+        if report.failed:  # unranked once more, from its index
+            _, relays, users = next(_pattern_blocks(s.topology, t_h, t_u, all_sizes,
+                                                    indices[[(ok == 0).argmax()]], 1))
+            report.first_failure = CollusionPattern(relays[0].tolist(), users[0].tolist())
     return reports
 
 

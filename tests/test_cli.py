@@ -139,19 +139,27 @@ def test_report_matches_the_pinned_report_digest(tmp_path, inv):
 
 @pytest.mark.parametrize("inv_id, streamed", [("cyc12-A-sub", 0), ("triangle-A-q3", 1)])
 def test_a_report_walks_its_patterns_once(tmp_path, monkeypatch, inv_id, streamed):
-    # every walk enumerates _pattern_tuples; a sweep within its budget streams
-    # them through iter_patterns, a subsampled one through the reservoir
-    walks = dict.fromkeys(["_pattern_tuples", "iter_patterns"], 0)
-    for name in walks:
-        def counted(*args, _name=name, _real=getattr(verify, name)):
-            walks[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(verify, name, counted)
+    # a report unranks its patterns in one walk over pattern indices, a
+    # subsampled one only the 1,500 it keeps of 14,520, a streamed one all 16;
+    # neither walks the pattern tuples of iter_patterns
+    walks, real = [], verify._pattern_blocks
+
+    def counted(*args):
+        walks.append(0)
+        for block in real(*args):
+            walks[-1] += len(block[0])
+            yield block
+
+    def no_tuples(*args):
+        raise AssertionError("a report walked the pattern tuples")
+
+    monkeypatch.setattr(verify, "_pattern_blocks", counted)
+    monkeypatch.setattr(verify, "iter_patterns", no_tuples)
     inv = next(inv for inv in REPORTS if inv.id == inv_id)
     cfg, out = tmp_path / "config.json", tmp_path / "report.json"
     cfg.write_text(json.dumps(inv.config(0)))
     assert main(inv.argv(cfg, out)) == 0
-    assert walks == {"_pattern_tuples": 1, "iter_patterns": streamed}
+    assert walks == [16 if streamed else 1500]
 
 
 def test_a_route_disagreement_fails_both_reports_and_the_run(tmp_path, monkeypatch):

@@ -292,7 +292,7 @@ def test_internal_results_meet_the_edge_contract(q, r, c, k, data):
 @given(st.integers(0, 4), st.integers(0, 5), st.sampled_from(["random", "deficient", "zero"]),
        st.data())
 def test_pivots_count_the_rank_of_every_leading_block(q, r, c, kind, data):
-    # rank_leak reads rank(m) - rank(m[:, :k]) off a single pivot list
+    # rank(m) - rank(m[:, :k]) can be read off a single pivot list
     field = PrimeField(q)
     if kind == "random":
         m = drawn_matrix(data, field, r, c)
@@ -328,6 +328,22 @@ def test_all_nonsingular_matches_a_rank_per_matrix(q, n, b, kind, data):
     before = stack.copy()
     assert gf._all_nonsingular(stack, q) == expected
     assert np.array_equal(stack, before)
+
+
+@pytest.mark.parametrize("q", INVARIANT_PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 6), st.integers(0, 7), st.data())
+def test_lockstep_ranks_match_brute_rank(q, count, rows, cols, data):
+    # at q = 2**31 - 1 the entries q - 1 take the fraction-free products to about 2**62;
+    # a last row that combines two others keeps the ranks from all being full
+    entries = st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, q - 1))
+    stack = np.array(data.draw(st.lists(entries, min_size=count * rows * cols,
+                                        max_size=count * rows * cols)),
+                     dtype=np.int64).reshape(count, rows, cols)
+    if rows >= 3 and data.draw(st.booleans()):
+        stack[:, -1] = (data.draw(st.integers(0, q - 1)) * stack[:, 0] + stack[:, 1]) % q
+    expected = [brute_rank(m, q) for m in stack]
+    assert gf._lockstep_ranks(stack, q).tolist() == expected
 
 
 @given(st.sampled_from(INVARIANT_PRIMES),

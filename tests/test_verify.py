@@ -1,4 +1,7 @@
 import dataclasses
+import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,8 +18,10 @@ from hsa_lab.verify import (
     Decodability,
     SweepReport,
     _assignments,
-    _pattern_tuples,
-    _reservoir,
+    _leaks,
+    _pattern_blocks,
+    _sample,
+    _unrank,
     adversary_view,
     check_decodability,
     check_security_rank,
@@ -395,16 +400,33 @@ def test_sweep_budget_subsampling_is_deterministic():
     assert [r.as_dict() for r in r1] == [r.as_dict() for r in r2]
 
 
+def unranked(top, t_h, t_u, all_sizes, indices):
+    """The patterns at `indices` (iter_patterns order), in the order of indices."""
+    patterns = [None] * len(indices)
+    for places, relays, users in _pattern_blocks(top, t_h, t_u, all_sizes, np.asarray(indices),
+                                                 7):
+        for place, r, u in zip(places.tolist(), relays.tolist(), users.tolist()):
+            patterns[place] = CollusionPattern(r, u)
+    return patterns
+
+
+def sampled_patterns(top, t_h, t_u, all_sizes, budget, seed):
+    """The subsampled sweep's patterns, in its slot order."""
+    total = count_patterns(top, t_h, t_u, all_sizes)
+    return unranked(top, t_h, t_u, all_sizes, _sample(total, budget, seed))
+
+
 @pytest.mark.parametrize("top, t_h, t_u, all_sizes, budget, seed", [
     (build_cyclic(6, 2), 1, 2, True, 10, 5),
     (build_cyclic(12, 3), 2, 3, False, 100, 0),
     (build_multiple_cyclic(7, 2, 2), 2, 1, False, 17, 3),
     (build_tree(3, 2), 2, 2, True, 1, 11),
+    (build_cyclic(6, 2), 1, 2, True, 153, 2),  # budget = total - 1
 ])
 def test_reservoir_draws_the_sample_of_the_full_walk(top, t_h, t_u, all_sizes, budget, seed):
-    # the sample is drawn over (relays, users) tuples; only the kept ones are built
+    # the sample is drawn over pattern indices; only the kept ones are unranked
     assert count_patterns(top, t_h, t_u, all_sizes) > budget
-    sample = _reservoir(_pattern_tuples(top, t_h, t_u, all_sizes), budget, seed)
+    sample = sampled_patterns(top, t_h, t_u, all_sizes, budget, seed)
     assert sample == reservoir_walk(iter_patterns(top, t_h, t_u, all_sizes), budget, seed)
 
 
@@ -413,16 +435,73 @@ def test_reservoir_draws_the_scalar_sample_across_draw_blocks(budget):
     # 14,520 maximal patterns: the draws span several blocks of 4,096, and
     # end partway through one or, at the last budget, on a block boundary
     top = build_cyclic(12, 3)
-    sample = _reservoir(_pattern_tuples(top, 2, 3, False), budget, 4)
+    sample = sampled_patterns(top, 2, 3, False, budget, 4)
     assert sample == reservoir_walk(iter_patterns(top, 2, 3, False), budget, 4)
 
 
 def test_block_draws_equal_scalar_draws_across_two_to_the_32():
-    # the property _reservoir's block draws rest on, at bounds past 32 bits
+    # the property _sample's block draws rest on, at bounds past 32 bits
     start = 2**32 - 3000
     scalar = np.random.default_rng(9)
     block = np.random.default_rng(9).integers(0, np.arange(start + 1, start + 6001))
     assert block.tolist() == [int(scalar.integers(0, k + 1)) for k in range(start, start + 6000)]
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_unrank_equals_the_lexicographic_combinations(n):
+    for r in range(n + 1):
+        expected = [list(c) for c in itertools.combinations(range(1, n + 1), r)]
+        assert _unrank(np.arange(math.comb(n, r)), n, r).tolist() == expected, (n, r)
+
+
+@pytest.mark.parametrize("top", [build_cyclic(3, 2), build_cyclic(5, 2), build_tree(3, 2),
+                                 build_multiple_cyclic(7, 2, 2)])
+@pytest.mark.parametrize("t_h, t_u", [(0, 0), (1, 0), (0, 2), (2, 1), (2, 3)])
+@pytest.mark.parametrize("all_sizes", [False, True])
+def test_unranking_equals_iter_patterns_at_every_index(top, t_h, t_u, all_sizes):
+    # all_sizes adds the size-0 blocks; the helper unranks in blocks of 7,
+    # and a reversed index list comes back reversed
+    expected = list(iter_patterns(top, t_h, t_u, all_sizes))
+    indices = list(range(len(expected)))
+    assert len(expected) == count_patterns(top, t_h, t_u, all_sizes)
+    assert unranked(top, t_h, t_u, all_sizes, indices) == expected
+    assert unranked(top, t_h, t_u, all_sizes, indices[::-1]) == expected[::-1]
+
+
+@pytest.mark.parametrize("total, budget, seed", [
+    (2, 1, 0), (10, 9, 3), (5000, 4999, 1),            # budget = total - 1
+    (100 + 4096, 100, 2), (100 + 4096 + 1, 100, 2),    # one block exactly, and one more draw
+    (7 + 2 * 4096 - 1, 7, 5), (3 + 3 * 4096 + 17, 3, 8),
+])
+def test_index_sample_equals_the_reservoir_walk(total, budget, seed):
+    assert _sample(total, budget, seed).tolist() == reservoir_walk(range(total), budget, seed)
+
+
+def test_a_sweep_the_oracle_skips_entirely_passes_on_the_rank_route_alone():
+    # all_passed means no failure and no disagreement, not that anything was
+    # decided: the README's B scheme is past the oracle's default cap, so its
+    # oracle report skips all 154 patterns and still reads as passed
+    scheme = build_scheme_b(build_cyclic(6, 2), PrimeField(13), t_u=2, seed=7)
+    rank, oracle = sweep_security(scheme, t_h=1, t_u=2)
+    assert (rank.checked, rank.passed, rank.failed, rank.all_passed) == (154, 154, 0, True)
+    assert (oracle.checked, oracle.skipped_cap, oracle.passed, oracle.failed) == (154, 154, 0, 0)
+    assert oracle.all_passed
+
+
+def test_a_full_sweep_streams_in_bounded_memory():
+    # the 14,520 maximal patterns of A on cyclic(12,3) at (2,3) go through the
+    # rank kernel in blocks of bounded size; a block that grew with the
+    # pattern count would hold about 57 MiB of stack entries
+    s = build_scheme_a(build_cyclic(12, 3), PrimeField(65537), seed=0)
+    sweep_security(s, 2, 3, budget=10)  # the scheme's tables are built and cached
+    tracemalloc.start()
+    try:
+        rank, _ = sweep_security(s, 2, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rank.checked, rank.passed, rank.subsampled) == (14520, 14520, False)
+    assert peak < 4 * 2**20
 
 
 def test_sweep_oracle_and_both():
@@ -450,7 +529,7 @@ def capped_oracle_sweep(s, t_h, t_u, budget, all_sizes, cap, seed):
     total = count_patterns(s.topology, t_h, t_u, all_sizes)
     rep = SweepReport(method="oracle", all_sizes=all_sizes, total_patterns=total,
                       subsampled=total > budget)
-    patterns = (_reservoir(_pattern_tuples(s.topology, t_h, t_u, all_sizes), budget, seed)
+    patterns = (sampled_patterns(s.topology, t_h, t_u, all_sizes, budget, seed)
                 if rep.subsampled else iter_patterns(s.topology, t_h, t_u, all_sizes))
     for pat in patterns:
         with pytest.raises(TooLargeToEnumerate):
@@ -580,15 +659,19 @@ def test_oracle_stays_off_the_rank_path(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("the oracle reached an elimination routine or the rank peel")
 
-    for routine in ("_echelon_pivots", "_all_nonsingular", "_rref"):
+    for routine in ("_echelon_pivots", "_all_nonsingular", "_lockstep_ranks", "_rref"):
         monkeypatch.setattr(gf, routine, no_elimination)
-    monkeypatch.setattr(verify, "_peel", no_elimination)
-    monkeypatch.setattr(Scheme, "seed_supports", property(no_elimination))
+    for routine in ("_leaks", "_peel"):
+        monkeypatch.setattr(verify, routine, no_elimination)
+    monkeypatch.setattr(Scheme, "stack_supports", property(no_elimination))
     key_map = schemes[0].key_map
     square = key_map.take_cols(range(key_map.rows))
+    one = np.ones((1, 1), dtype=np.intp)
     for eliminate in (key_map.rank, square.inverse, lambda: gf.pivots(key_map),
-                      lambda: gf.mds_check(key_map), lambda: verify._peel([1]),
-                      lambda: schemes[1].seed_supports,
+                      lambda: gf.mds_check(key_map), lambda: verify._leaks(schemes[1], one, one),
+                      lambda: verify._peel(one, one, 0),
+                      lambda: gf._lockstep_ranks(np.ones((1, 1, 1), dtype=np.int64), 3),
+                      lambda: schemes[1].stack_supports,
                       lambda: rank_leak(schemes[1], CollusionPattern([1], [2]))):
         with pytest.raises(AssertionError):
             eliminate()
@@ -810,12 +893,13 @@ def test_rank_leak_peel_matches_four_rank_formula(monkeypatch):
     outcomes = set()
     peel = verify._peel
 
-    def recording_peel(supports):
-        live = peel(supports)
-        if supports:
-            outcomes.add("to nothing" if not live else
-                         "partly" if len(live) < len(supports) else "not at all")
-        return live
+    def recording_peel(idx, supports, zero):
+        rows = (idx != zero).sum(axis=1)
+        peel(idx, supports, zero)
+        for before, after in zip(rows.tolist(), (idx != zero).sum(axis=1).tolist()):
+            if before:
+                outcomes.add("to nothing" if not after else
+                             "partly" if after < before else "not at all")
 
     monkeypatch.setattr(verify, "_peel", recording_peel)
     schemes = [build() for build in PEEL_SCHEMES]
@@ -833,3 +917,49 @@ def test_rank_leak_peel_matches_four_rank_formula(monkeypatch):
 
     check()
     assert outcomes == {"to nothing", "partly", "not at all"}
+
+
+BLOCK_SCHEMES = [lambda: build_scheme_a(build_cyclic(4, 2), F5, seed=1),
+                 lambda: build_scheme_b(build_cyclic(6, 2), PrimeField(13), 2, seed=0),
+                 lambda: build_scheme_a(build_tree(3, 2), F7, seed=0),
+                 lambda: build_scheme_c(5, F7)]
+
+
+def test_block_leaks_match_four_rank_formula():
+    # the kernel on blocks of patterns, as the sweep unranks them: a drawn
+    # index list of every size up to (2, 2), cut into blocks of 1 to 64
+    schemes = [build() for build in BLOCK_SCHEMES]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(range(len(schemes))),
+           st.sampled_from(["clean", "tampered", "singular"]), st.sampled_from([1, 3, 7, 64]),
+           st.data())
+    def check(which, kind, block, data):
+        s = schemes[which]
+        if kind == "tampered":
+            s = tampered(s)
+        elif kind == "singular":
+            s = dataclasses.replace(s, encoders=maybe_singular_encoders(data, s))
+        total = count_patterns(s.topology, 2, 2, True)
+        indices = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=40))
+        for _, relays, users in _pattern_blocks(s.topology, 2, 2, True, np.array(indices), block):
+            for leak, r, u in zip(_leaks(s, relays, users).tolist(), relays.tolist(),
+                                  users.tolist()):
+                pat = CollusionPattern(r, u)
+                assert leak == four_rank_leak(*oracle_maps(s, pat, 1), s.field.q), pat
+
+    check()
+
+
+@pytest.mark.parametrize("budget", [1000, 40])
+def test_sweep_tallies_the_four_rank_leaks_across_blocks(monkeypatch, budget):
+    # blocks of one pattern: the rank report counts the same failures and
+    # names the same first failure as a per-pattern walk of the four ranks
+    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1)
+    s = tampered(build_scheme_c(5, F7))
+    rank, _ = sweep_security(s, 2, 2, budget=budget, all_sizes=True, oracle_cap=10, seed=1)
+    patterns = (sampled_patterns(s.topology, 2, 2, True, budget, 1) if rank.subsampled
+                else list(iter_patterns(s.topology, 2, 2, True)))
+    failing = [p for p in patterns if four_rank_leak(*oracle_maps(s, p, 1), s.field.q)]
+    assert (rank.checked, rank.failed) == (len(patterns), len(failing)) and failing
+    assert rank.first_failure == failing[0]
