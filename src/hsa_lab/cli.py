@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -405,7 +406,7 @@ def make_parser() -> argparse.ArgumentParser:
         description="Build, verify and simulate hierarchical secure aggregation codes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, scheme_arg=False, expect_feasible=False, all_sizes=False):
+    def add(name, help_text, scheme_arg=False, expect_feasible=False, all_sizes=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output path (default: stdout/config)")
@@ -417,26 +418,29 @@ def make_parser() -> argparse.ArgumentParser:
         if all_sizes:
             p.add_argument("--all-sizes", action="store_true",
                            help="sweep every sub-pattern, not only maximal ones")
-        p.set_defaults(fn=fn)
         return p
 
-    add("bounds", cmd_bounds, "feasibility verdict and rate lower bounds",
-        expect_feasible=True)
-    add("build", cmd_build, "construct a scheme and write it to disk")
-    add("verify", cmd_verify, "check decodability and security of a scheme file",
+    add("bounds", "feasibility verdict and rate lower bounds", expect_feasible=True)
+    add("build", "construct a scheme and write it to disk")
+    add("verify", "check decodability and security of a scheme file",
         scheme_arg=True, all_sizes=True)
-    add("simulate", cmd_simulate, "run one aggregation round and write the transcript",
-        scheme_arg=True)
-    add("report", cmd_report, "one-shot pipeline: bounds + build + verify + rates",
-        all_sizes=True)
+    add("simulate", "run one aggregation round and write the transcript", scheme_arg=True)
+    add("report", "one-shot pipeline: bounds + build + verify + rates", all_sizes=True)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """make_parser's parser, built on the first main call, not at import, and
+    reused: parsing an argv leaves it unchanged."""
+    return make_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # command `name` runs cmd_<name>, looked up per call: the cached parser pins no function
+        return globals()[f"cmd_{args.command}"](args)
     except HsaLabError as exc:
         # a ConfigError, or work past a cap the run cannot skip, is the config's to change
         if isinstance(exc, (ConstructionFailed, ProtocolViolation)):

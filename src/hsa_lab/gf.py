@@ -40,6 +40,7 @@ from .errors import (
 _MAX_Q = 2**31
 _INT64_MAX = 2**63 - 1
 _SIGNED = tuple(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64))
+_SIGNED_MAX = tuple(int(np.iinfo(t).max) for t in _SIGNED)
 _MINOR_CHUNK = 4096  # minors judged per batch by mds_check
 
 
@@ -217,8 +218,8 @@ def _reduce(x: np.ndarray, q: int) -> np.ndarray:
 def _narrowest(bound: int, floor: np.dtype = _SIGNED[0]) -> np.dtype:
     """The first of int8/int16/int32/int64, no narrower than floor, whose maximum
     holds bound; int64 if none does."""
-    return next((t for t in _SIGNED if t.itemsize >= floor.itemsize and bound <= np.iinfo(t).max),
-                _SIGNED[-1])
+    return next((t for t, top in zip(_SIGNED, _SIGNED_MAX)
+                 if t.itemsize >= floor.itemsize and bound <= top), _SIGNED[-1])
 
 
 def _dtype_for(bound: int, arrays) -> np.dtype:

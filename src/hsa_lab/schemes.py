@@ -64,7 +64,8 @@ class Scheme:
     matrix of variant BL, None for variant A.  link_keys (seeds x N*n) and
     link_rows, the coefficients of every wire message that the adversary
     view and the rank route gather, are derived and never serialized, as
-    are the gather tables stack_rows, stack_supports and stack_index.
+    are the gather tables stack_rows, stack_supports, stack_index and
+    key_gather.
     """
 
     variant: str
@@ -158,6 +159,18 @@ class Scheme:
             rows[j, :len(linked)] = [self.link_index(i, j) for i in linked]
         keys = len(self.link_rows) + np.arange(-k, top.N * k, dtype=np.intp).reshape(-1, k)
         return rows, users, keys
+
+    @cached_property
+    def key_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """derive_user_keys' split of key_map's columns: the unit columns (one
+        nonzero, equal to 1) and the seed row each copies, then the other
+        columns and, read-only, their transposed key map."""
+        a = self.key_map.a
+        unit = ((a != 0).sum(axis=0) == 1) & ((a == 1).sum(axis=0) == 1)
+        rest_map = a[:, ~unit].T
+        rest_map.flags.writeable = False
+        return (np.flatnonzero(unit), np.nonzero(a[:, unit].T)[1], np.flatnonzero(~unit),
+                rest_map)
 
     def to_dict(self) -> dict:
         return {
@@ -514,11 +527,27 @@ def build_scheme_c(n_users: int, field: PrimeField) -> Scheme:
 
 def derive_user_keys(s: Scheme, seeds: FieldMatrix) -> KeyMaterial:
     """Every user's keys from explicit seed columns: user i's are the i-th block of
-    keys_per_user rows of one product key_map^T @ seeds, user_key_map(i)^T @ seeds."""
+    keys_per_user rows of key_map^T @ seeds, user_key_map(i)^T @ seeds.
+
+    A key whose key_map column is a unit column is a copy of one seed row, so
+    those rows are gathered (Scheme.key_gather); only the other columns go
+    through one product.  Variant A's keys of users 1..N-1 are all such
+    copies.  The keys keep the seeds' dtype unless the product is wider."""
+    if seeds.field != s.field:
+        raise ShapeError("seeds live in another field")
     if seeds.rows != s.seed_count:
         raise ShapeError(f"expected {s.seed_count} seed rows, got {seeds.rows}")
-    keys = (s.key_map.T @ seeds).a
-    per_user = tuple(FieldMatrix._wrap(s.field, z) for z in np.split(keys, s.topology.N))
+    unit, rows, rest, rest_map = s.key_gather
+    if not rest.size:
+        keys = seeds.a[rows]
+    elif not unit.size:
+        keys = gf._matmul(s.field.q, (rest_map, seeds.a))
+    else:
+        product = gf._matmul(s.field.q, (rest_map, seeds.a))
+        keys = np.empty((s.key_map.cols, seeds.cols), dtype=product.dtype)
+        keys[unit], keys[rest] = seeds.a[rows], product
+    per_user = tuple(FieldMatrix._wrap(s.field, z)
+                     for z in keys.reshape(s.topology.N, s.keys_per_user, seeds.cols))
     return KeyMaterial(seeds=seeds, per_user=per_user)
 
 

@@ -15,15 +15,10 @@ by a known constant, so by independence its column leaves the grid.  Each
 output symbol is evaluated only over its row's support, and a map's count
 over all states is its count there times q per variable outside it.
 Neither step needs elimination.  The rank route reduces the same quotient
-by the known inputs, for a block of same-size patterns at once (see
-rank_leak): one gather of row indices into `Scheme.stack_rows`, without
-the rows that cannot change the leak; a peel, on packed seed supports
-alone, of every row that is the only nonzero of a seed column (such a row
-is independent of the others both in the whole stack and in its seed
-block, so it adds 1 to both ranks and leaves the leak as it is); and one
-lockstep elimination of the block's survivors.  A sweep walks pattern
+by the known inputs, for a block of same-size patterns at once; rank_leak
+explains its gather, peel and lockstep elimination.  A sweep walks pattern
 indices: it draws its subsample over them and unranks only the patterns
-it checks.
+it checks, and it refuses more than _WALK_LIMIT patterns before it walks.
 """
 
 from __future__ import annotations
@@ -42,9 +37,10 @@ from .gf import FieldMatrix
 from .protocol import run_round
 from .schemes import Scheme, derive_user_keys, link_key_constraint_ok
 
-_CHUNK_COLUMNS = 1 << 16
+_CHUNK_COLUMNS = 1 << 17
 _DRAW_BLOCK = 4096  # reservoir replacement indices drawn per call
 _BLOCK_ENTRIES = 1 << 17  # stack entries per rank-kernel block, at most
+_WALK_LIMIT = 1 << 32  # patterns a sweep walks, at most
 
 
 def _at_least_one(value: int, what: str):
@@ -189,7 +185,8 @@ def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
 
 def _assignments(q: int, n_vars: int, dtype: np.dtype) -> Iterator[np.ndarray]:
     """All q**n_vars assignments in row-major order, as columns of C-contiguous (n_vars, q**k)
-    chunks of dtype (k maximal with q**k <= 2**16): one per high-digit value over the low block."""
+    chunks of dtype (k maximal with q**k <= _CHUNK_COLUMNS): one per high-digit value over
+    the low block."""
     k = 0
     while k < n_vars and q ** (k + 1) <= _CHUNK_COLUMNS:
         k += 1
@@ -369,15 +366,19 @@ def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
     """Simulate rounds and check decode == direct sum, plus the certificate.
 
     If the q**(N*n + seeds) assignments of inputs and seeds are at most cap,
-    each runs exactly once (chunked, so memory stays bounded); each column
-    of a width-w block is an independent round, so that is exhaustive for
-    every width.  Otherwise samples * width random int64 columns are drawn.
-    Either way the columns enter the round in the narrowest signed dtype
-    that holds (q - 1)**2; each kernel widens on its own to a dtype that
-    holds its bound, so the verdict is an int64 round's.  The algebraic
-    cancellation certificate is asserted in both modes, and `passed` is the
-    conjunction, so a disagreement between simulation and certificate can
-    only surface as a failure.
+    each runs exactly once; each column of a width-w block is an independent
+    round, so that is exhaustive for every width.  They run as one batched
+    round per chunk of at most _CHUNK_COLUMNS = 2**17 columns (see
+    _assignments), so memory stays bounded: the 5**10 states of A on
+    cyclic(3,2) run in chunks of 5**7 and peak at about 3 MiB.  Otherwise
+    samples * width random int64 columns are drawn.  Either way each round
+    gathers the keys of unit key-map columns from their seed rows (see
+    derive_user_keys), and the columns enter the round in the narrowest
+    signed dtype that holds (q - 1)**2; each kernel widens on its own to a
+    dtype that holds its bound, so the verdict is an int64 round's.  The
+    algebraic cancellation certificate is asserted in both modes, and
+    `passed` is the conjunction, so a disagreement between simulation and
+    certificate can only surface as a failure.
 
     Raises:
         InvalidArgument: if width < 1 or samples < 1.
@@ -529,7 +530,9 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
 
     One walk serves both routes and returns (rank report, oracle report).
     Patterns beyond `budget` are randomly subsampled (seeded); the sample
-    is drawn over pattern indices, and only its patterns are unranked.  An
+    is drawn over pattern indices, and only its patterns are unranked.
+    Drawing it walks every index, so a sweep is refused past _WALK_LIMIT
+    patterns, which also keeps every index within int64.  An
     oracle run past oracle_cap gives no verdict and counts as skipped,
     never as passed.  If the grid of the whole block width is past the cap,
     the oracle is not called, and the rank route checks the patterns in
@@ -541,12 +544,16 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
 
     Raises:
         InvalidArgument: for a budget or width below 1.
+        TooLargeToEnumerate: past _WALK_LIMIT patterns, before any is
+            sampled or checked.
     """
     _at_least_one(budget, "sweep budget")
     _at_least_one(width, "block width")
     if all_sizes is None:
         all_sizes = s.topology.N <= 6 and s.topology.K <= 6
-    total = count_patterns(s.topology, t_h, t_u, all_sizes)
+    if (total := count_patterns(s.topology, t_h, t_u, all_sizes)) > _WALK_LIMIT:
+        raise TooLargeToEnumerate(f"{total} collusion patterns exceed the sweep's walk limit "
+                                  f"{_WALK_LIMIT}")
     reports = tuple(SweepReport(method, all_sizes, total, subsampled=total > budget)
                     for method in ("rank", "oracle"))
     try:

@@ -4,14 +4,18 @@ import hashlib
 import io
 import json
 import math
+import os
 import runpy
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsa_lab import verify
+from hsa_lab import cli, verify
 from hsa_lab.cli import main
 from hsa_lab.schemes import Scheme
 
@@ -657,3 +661,61 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, comm
     assert captured.out == ""
     assert captured.err == f"run failed: out of memory ({shown})\n"
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_sweep_past_the_walk_limit_exits_2_with_one_line(tmp_path, capsys):
+    # A on cyclic(40,3) at (1,12): 40 * C(40,12) = 2.2e11 patterns, which the
+    # sampler would walk one index at a time for over an hour
+    cfg = write_config(tmp_path, topology={"kind": "cyclic", "K": 40, "n": 3}, field_q=65537,
+                       security={"t_h": 1, "t_u": 12}, caps={"sweep_budget": 1000})
+    out, start = tmp_path / "report.json", time.monotonic()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.monotonic() - start < 30  # the build and the sampled decode: about 0.1 s
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("configuration error: 223474139200 collusion patterns exceed "
+                            f"the sweep's walk limit {verify._WALK_LIMIT}\n")
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def test_a_flag_does_not_outlive_its_call(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_report", lambda args: seen.append(args.all_sizes) or 0)
+    cfg = str(write_config(tmp_path))
+    assert [main(["report", "--config", cfg, "--all-sizes"]),
+            main(["report", "--config", cfg])] == [0, 0]
+    assert seen == [True, False]
+
+
+def test_a_rejected_argv_leaves_the_parser_usable(tmp_path, capsys):
+    with pytest.raises(SystemExit) as rejected:
+        main(["report", "--all-sizes"])  # no --config
+    assert rejected.value.code == 2
+    assert "--config" in capsys.readouterr().err
+    assert main(["bounds", "--config", str(write_config(tmp_path))]) == 0
+    assert json.loads(capsys.readouterr().out)["feasibility"]["verdict"] == "feasible"
+
+
+COUNT_PARSERS = """
+import argparse
+built, init = [], argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+import hsa_lab.cli
+print(len(built))
+for _ in range(2):
+    try:
+        hsa_lab.cli.main(["bounds"])
+    except SystemExit:
+        print(len(built))
+"""
+
+
+def test_the_parser_is_built_on_the_first_call_only():
+    # none at import; one parser and its five subparsers at the first call; none after
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", COUNT_PARSERS], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stdout.split() == ["0", "6", "6"]

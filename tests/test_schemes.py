@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsa_lab import gf
 from hsa_lab.bounds import RateTuple
@@ -12,6 +13,7 @@ from hsa_lab.errors import (
     InfeasibleParameters,
     InvalidArgument,
     NoSuchRoot,
+    ShapeError,
     SingularMatrix,
 )
 from hsa_lab.gf import FieldMatrix, PrimeField, root_of_unity
@@ -328,6 +330,8 @@ def test_derived_keys_follow_key_map():
     for i in range(1, 7):
         expected = s.key_map.take_cols([i - 1]).T @ seeds
         assert keys.per_user[i - 1] == expected
+    with pytest.raises(ShapeError, match="another field"):
+        derive_user_keys(s, FieldMatrix(F7, [[1], [2], [3]]))
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -341,6 +345,49 @@ def test_derive_user_keys_equals_the_per_user_products(width):
         assert keys.seeds == seeds
         assert keys.per_user == tuple(s.user_key_map(i).T @ seeds
                                       for i in range(1, s.topology.N + 1))
+
+
+# key_map columns by kind: only "unit" is a copy of one seed row; "two" has one
+# nonzero other than 1, "pair" two nonzeros, one of them a 1, "dense" none zero
+UNIT_KINDS = {"all": ("unit",), "part": ("unit", "two", "pair", "dense", "zero"),
+              "none": ("two", "pair", "dense", "zero")}
+
+
+@pytest.mark.parametrize("mix", list(UNIT_KINDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), q=st.sampled_from([5, 13, 2**31 - 1]), weighted=st.booleans(),
+       seed_count=st.integers(2, 5), width=st.integers(1, 4),
+       dt=st.sampled_from([np.int8, np.int16, np.int64]))
+def test_gathered_keys_equal_the_per_user_products(data, mix, q, weighted, seed_count, width,
+                                                   dt):
+    field = PrimeField(q)
+    base = (build_scheme_c(3, field) if weighted else
+            build_scheme_a(build_cyclic(3, 2), field, decode_matrix=FieldMatrix(field, EXAMPLE_D)))
+    cols = base.key_map.cols
+    kinds = data.draw(st.lists(st.sampled_from(UNIT_KINDS[mix]), min_size=cols, max_size=cols))
+    if mix == "part":  # at least one unit column and one other
+        kinds[:2] = ["unit", data.draw(st.sampled_from(UNIT_KINDS["none"]))]
+    km = np.zeros((seed_count, cols), dtype=np.int64)
+    for c, kind in enumerate(kinds):
+        rows = data.draw(st.permutations(range(seed_count)))[:2]
+        if kind == "unit":
+            km[rows[0], c] = 1
+        elif kind == "two":
+            km[rows[0], c] = data.draw(st.sampled_from([2, q - 1]))
+        elif kind == "pair":
+            km[rows, c] = 1, data.draw(st.integers(1, q - 1))
+        elif kind == "dense":
+            km[:, c] = data.draw(st.lists(st.integers(1, q - 1), min_size=seed_count,
+                                          max_size=seed_count))
+    s = dataclasses.replace(base, key_map=FieldMatrix(field, km))
+    assert s.key_gather[0].tolist() == [c for c, kind in enumerate(kinds) if kind == "unit"]
+    top = min(q - 1, int(np.iinfo(dt).max))
+    seeds = FieldMatrix._wrap(field, np.array(
+        data.draw(st.lists(st.lists(st.integers(0, top), min_size=width, max_size=width),
+                           min_size=seed_count, max_size=seed_count)), dtype=dt))
+    keys = derive_user_keys(s, seeds)
+    assert keys.seeds is seeds
+    assert keys.per_user == tuple(s.user_key_map(i).T @ seeds for i in range(1, s.topology.N + 1))
 
 
 def test_scheme_serialization_roundtrip():

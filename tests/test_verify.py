@@ -250,9 +250,24 @@ def test_oracle_agrees_with_rank_both_ways():
                                        (2, 17), (257, 2)])
 def test_assignments_are_the_row_major_enumeration(q, n_vars):
     chunks = list(_assignments(q, n_vars, np.int64))
-    assert all(chunk.shape[0] == n_vars and 1 <= chunk.shape[1] <= 1 << 16 for chunk in chunks)
+    assert all(chunk.shape[0] == n_vars and 1 <= chunk.shape[1] <= verify._CHUNK_COLUMNS
+               for chunk in chunks)
     assert all(chunk.flags.c_contiguous for chunk in chunks)
     assert np.array_equal(np.hstack(chunks).T, _all_states(q, n_vars))
+
+
+def test_an_exhaustive_decode_runs_in_bounded_memory():
+    # the 5**10 = 9,765,625 states of A on cyclic(3,2) go through the round in chunks
+    # of at most _CHUNK_COLUMNS columns; a chunk of 2**20 columns peaks at about 22 MiB
+    s = example_scheme(5)
+    tracemalloc.start()
+    try:
+        deco = check_decodability(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert deco == Decodability("exhaustive", True, states=5**10)
+    assert peak < 8 * 2**20
 
 
 def test_decodability_exhaustive_small():
@@ -383,6 +398,23 @@ def test_sweep_first_failure():
     assert rep.failed >= 1
     assert rep.first_failure is not None
     assert not check_security_rank(s, rep.first_failure)
+
+
+@pytest.mark.parametrize("budget", [3, 100])
+def test_a_sweep_walks_at_most_its_walk_limit(monkeypatch, budget):
+    # the 9 maximal patterns of the example at (1,1): a sweep at the limit runs, one past raises
+    s = example_scheme()
+    monkeypatch.setattr(verify, "_WALK_LIMIT", 9)
+    rank, _ = sweep_security(s, 1, 1, budget=budget, all_sizes=False)
+    assert (rank.total_patterns, rank.checked) == (9, min(9, budget))
+    monkeypatch.setattr(verify, "_WALK_LIMIT", 8)
+    with pytest.raises(TooLargeToEnumerate, match="^9 collusion patterns exceed"):
+        sweep_security(s, 1, 1, budget=budget, all_sizes=False)
+
+
+def test_a_sweep_of_a_quarter_billion_patterns_is_within_the_walk_limit():
+    # cyclic(30,3) at (2,6), 2.6e8 patterns, about 8 s to sweep: counted here, not run
+    assert count_patterns(build_cyclic(30, 3), 2, 6, False) == 435 * 593_775 <= verify._WALK_LIMIT
 
 
 @pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -3}])
