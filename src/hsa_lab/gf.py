@@ -8,20 +8,22 @@ residues wrapped without a copy, int64 except in the round simulator: its
 narrower than their narrowest operand and holds their bound.  All operations
 are exact: products route through an overflow-safe path, and elimination
 pivots deterministically (leftmost nonzero column, first row with a nonzero
-entry at or below the row pointer).  Ranks, pivot lists and minor checks use
-fraction-free forward elimination, which needs no inverses: a row below the
-pivot becomes pivot * row - entry * pivot_row, exact in int64 since
-q <= 2**31.  A reduced form, and with it a modular inverse per pivot, is built
-only by `inverse`.  Every reduction whose size grows with columns or minors
-(the constructor, sums, negation, products, the minor-stack and lockstep-rank
-updates) goes through `_reduce`, x - (x // q) * q, which numpy vectorizes
-where it does not vectorize `%`; the two single-matrix elimination loops
-keep `%`, since their updates touch a few hundred entries, where one `%`
-costs less than three ufunc calls.
+entry at or below the row pointer).  Ranks and minor checks use fraction-free
+elimination, which needs no inverses: a row becomes pivot * row - entry *
+pivot_row, exact in int64 since q <= 2**31.  Every rank, one matrix's
+included, is taken by the batched `_lockstep_ranks`.  A reduced form, and
+with it a modular inverse per pivot, is built only by `inverse`.  Every
+reduction whose size grows with columns or minors (the constructor, sums,
+negation, products, the minor-stack and lockstep-rank updates) goes through
+`_reduce`, x - (x // q) * q, which numpy vectorizes where it does not
+vectorize `%`; `_rref` is the only single-matrix elimination loop and keeps
+`%`, since its updates touch a few hundred entries, where one `%` costs less
+than three ufunc calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
@@ -80,10 +82,11 @@ class PrimeField:
     q: int
 
     def __post_init__(self):
+        # the limit first: trial division up to sqrt(2**61) would run for minutes
+        if isinstance(self.q, int) and self.q > _MAX_Q:
+            raise InvalidArgument(f"modulus {self.q} exceeds the 2**31 limit")
         if not isinstance(self.q, int) or not is_prime(self.q):
             raise InvalidArgument(f"modulus {self.q!r} is not prime")
-        if self.q > _MAX_Q:
-            raise InvalidArgument(f"modulus {self.q} exceeds the 2**31 limit")
 
     def neg(self, a: int) -> int:
         return (-a) % self.q
@@ -94,7 +97,11 @@ class PrimeField:
             raise DivisionByZero(f"0 has no inverse in F_{self.q}")
         return pow(int(a), -1, self.q)
 
-    def rand(self, rng: np.random.Generator, size) -> np.ndarray:
+    def rand(self, rng: np.random.Generator, size: tuple[int, ...]) -> np.ndarray:
+        """Uniform int64 residues; MemoryError, not numpy's ValueError, past numpy's
+        largest array."""
+        if math.prod(size) * 8 > _INT64_MAX:
+            raise MemoryError(f"an int64 array of shape {size} exceeds numpy's largest array")
         return rng.integers(0, self.q, size=size, dtype=np.int64)
 
     def __repr__(self):
@@ -183,7 +190,8 @@ class FieldMatrix:
     # -- linear algebra ----------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon_pivots(self.a, self.field.q))
+        # a block of one: the int64 copy is the fresh stack the kernel eliminates
+        return int(_lockstep_ranks(self.a.astype(np.int64)[None], self.field.q)[0])
 
     def inverse(self) -> "FieldMatrix":
         """Inverse of a square nonsingular matrix (Gauss-Jordan).
@@ -254,32 +262,6 @@ def _matmul(q: int, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     for part in parts:
         total += part
     return _reduce(total, q)
-
-
-def _echelon_pivots(a: np.ndarray, q: int) -> list[int]:
-    """Pivot columns of a's row echelon form, by fraction-free forward elimination."""
-    m = a.copy()  # the caller's array stays untouched
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        # a column of a dozen rows is scanned faster as a list than by numpy
-        col = m[r:, c].tolist()
-        nz = [i for i, v in enumerate(col) if v]
-        if not nz:
-            continue
-        p = r + nz[0]
-        if p != r:
-            m[r], m[p] = m[p], m[r].copy()
-        if len(nz) > 1:  # after the swap, row p holds a zero in column c
-            below = [r + i for i in nz[1:]]
-            m[below, c + 1:] = (col[nz[0]] * m[below, c + 1:]
-                                - np.outer(m[below, c], m[r, c + 1:])) % q
-        pivots.append(c)
-        r += 1
-    return pivots
 
 
 def _all_nonsingular(stack: np.ndarray, q: int) -> bool:
@@ -460,11 +442,6 @@ def mds_check(m: FieldMatrix) -> bool:
         if not _all_nonsingular(minors, m.field.q):
             return False
     return True
-
-
-def pivots(m: FieldMatrix) -> list[int]:
-    """Pivot columns of m's row echelon form; those below k number rank(m[:, :k])."""
-    return _echelon_pivots(m.a, m.field.q)
 
 
 def root_of_unity(field: PrimeField, t: int) -> int:

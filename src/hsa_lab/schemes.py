@@ -61,11 +61,11 @@ class Scheme:
     column block for user i's relays.  key_map sends the seed vector to
     the concatenated user keys: keys_per_user columns per user, n for
     variant A and 1 for variant BL.  key_weights is the N x K link weight
-    matrix of variant BL, None for variant A.  link_keys (seeds x N*n) and
-    link_rows, the coefficients of every wire message that the adversary
-    view and the rank route gather, are derived and never serialized, as
-    are the gather tables stack_rows, stack_supports, stack_index and
-    key_gather.
+    matrix of variant BL, None for variant A.  link_keys (seeds x N*n) is
+    derived and never serialized, as are the gather tables stack_rows, whose
+    first N*n rows are the coefficients of every wire message that the
+    adversary view and the rank route gather, stack_supports, stack_index
+    and key_gather.
     """
 
     variant: str
@@ -113,29 +113,19 @@ class Scheme:
                           for i in range(1, self.topology.N + 1)])
 
     @cached_property
-    def link_rows(self) -> np.ndarray:
-        """Read-only N*n x (seeds + N*n) coefficients of every wire message.
-
-        Row link_index(i, j) is message (i, j) over (seeds, inputs): the link
-        key, then the row of encoders[i-1] at relay j's position in user i's
-        sorted relays, in user i's input columns.
-        """
-        big_n, n = self.topology.N, self.topology.n
-        inputs = np.zeros((big_n, n, big_n, n), dtype=np.int64)
-        inputs[range(big_n), :, range(big_n)] = [e.a for e in self.encoders]
-        rows = np.hstack([self.link_keys.a.T, inputs.reshape(big_n * n, -1)])
-        rows.flags.writeable = False
-        return rows
-
-    @cached_property
     def stack_rows(self) -> np.ndarray:
-        """Read-only: link_rows, then one row per user key (its key_map column
-        over the seeds, zero over the inputs), then a zero row; every row a
-        rank stack gathers, in one table."""
-        big_n, seeds = self.topology.N, self.seed_count
-        keys = np.zeros((self.key_map.cols + 1, seeds + big_n * self.topology.n), dtype=np.int64)
-        keys[:-1, :seeds] = self.key_map.a.T
-        rows = np.vstack([self.link_rows, keys])
+        """Read-only, over (seeds, inputs): every row that a rank stack or the
+        adversary view gathers.  Row link_index(i, j), one of the first N*n, is
+        wire message (i, j): the link key, then the row of encoders[i-1] at
+        relay j's position in user i's sorted relays, in user i's input
+        columns.  Then one row per user key (its key_map column over the
+        seeds, zero over the inputs), then a zero row."""
+        big_n, n, seeds = self.topology.N, self.topology.n, self.seed_count
+        rows = np.zeros((big_n * n + self.key_map.cols + 1, seeds + big_n * n), dtype=np.int64)
+        rows[:big_n * n, :seeds] = self.link_keys.a.T
+        for i, e in enumerate(self.encoders):  # block diagonal over the inputs
+            rows[i * n:(i + 1) * n, seeds + i * n:seeds + (i + 1) * n] = e.a
+        rows[big_n * n:-1, :seeds] = self.key_map.a.T
         rows.flags.writeable = False
         return rows
 
@@ -157,7 +147,7 @@ class Scheme:
         for j, linked in enumerate(top.relay_links, 1):
             users[j, :len(linked)] = linked
             rows[j, :len(linked)] = [self.link_index(i, j) for i in linked]
-        keys = len(self.link_rows) + np.arange(-k, top.N * k, dtype=np.intp).reshape(-1, k)
+        keys = top.N * top.n + np.arange(-k, top.N * k, dtype=np.intp).reshape(-1, k)
         return rows, users, keys
 
     @cached_property

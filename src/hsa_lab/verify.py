@@ -50,7 +50,8 @@ def _at_least_one(value: int, what: str):
 
 def _states(q: int, n_vars: int, cap: int) -> int:
     """q**n_vars, the states of a grid to enumerate; raises TooLargeToEnumerate past cap."""
-    if (states := q ** n_vars) > cap:
+    # q >= 2, so from cap.bit_length() variables on q**n_vars > cap: never build that power
+    if n_vars >= cap.bit_length() or (states := q ** n_vars) > cap:
         raise TooLargeToEnumerate(f"{q}**{n_vars} states exceed the cap {cap}")
     return states
 
@@ -94,7 +95,7 @@ def adversary_view(s: Scheme, p: CollusionPattern) -> LinearView:
     relay_rows, relay_users, _ = s.stack_index
     links = [(i, j, row) for j in p.relays
              for i, row in zip(relay_users[j].tolist(), relay_rows[j].tolist()) if i]
-    rows, seeds = s.link_rows[[row for _, _, row in links]], s.seed_count
+    rows, seeds = s.stack_rows[[row for _, _, row in links]], s.seed_count
     return LinearView(c_w=FieldMatrix._wrap(s.field, rows[:, seeds:]),
                       c_r=FieldMatrix._wrap(s.field, rows[:, :seeds]),
                       row_labels=tuple((i, j) for i, j, _ in links))
@@ -396,8 +397,8 @@ def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
     else:
         mode, count = "sampled", {"samples": samples}
         rng = np.random.default_rng(seed)
-        sim_ok = _simulate_columns(s, rng.integers(0, q, size=(n_vars, samples * width),
-                                                   dtype=np.int64).astype(dtype, copy=False))
+        sim_ok = _simulate_columns(s, s.field.rand(rng, (n_vars, samples * width))
+                                   .astype(dtype, copy=False))
     return Decodability(mode, sim_ok and link_key_constraint_ok(s), **count)
 
 

@@ -505,11 +505,13 @@ def test_scheme_file_values_exit_2(tmp_path, capsys, path, edit):
     {"topology": {"K": 3.7}},
     {"topology": {"n": True}},
     {"topology": {"n": 0}},
+    {"field_q": 2**61 - 1},
 ], ids=["sweep_budget 0", "sweep_budget -5", "enumeration 0", "enumeration -1", "seed -1",
-        "K 3.7", "n true", "n 0"])
+        "K 3.7", "n true", "n 0", "field_q 2**61 - 1"])
 def test_invalid_values_exit_2_before_any_work(tmp_path, capsys, overrides, command):
-    # a budget or cap below 1 would certify a scheme without checking a single pattern
-    cfg = write_config(tmp_path, field_q=3, **overrides)
+    # a budget or cap below 1 would certify a scheme without checking a single pattern;
+    # a prime field past 2**31 is refused before trial division (about 1.5e9 steps)
+    cfg = write_config(tmp_path, **{"field_q": 3, **overrides})
     out = tmp_path / "out.json"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -661,6 +663,36 @@ def test_out_of_memory_exits_1_with_one_line(tmp_path, capsys, monkeypatch, comm
     assert captured.out == ""
     assert captured.err == f"run failed: out of memory ({shown})\n"
     assert not (tmp_path / "out.json").exists()
+
+
+def test_a_huge_width_is_refused_by_each_cap_without_building_its_power(tmp_path, capsys):
+    # at width 10**20 the oracle and converse grids are 5**(10 * 10**20) and
+    # 5**(4 * 10**20) states; the exhaustive decode does not depend on the width
+    cfg = write_config(tmp_path, block_width=10**20, caps={"enumeration": 10**8})
+    out, start = tmp_path / "report.json", time.monotonic()
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert time.monotonic() - start < 30  # about 0.3 s
+    doc = read_json(out)
+    assert doc["decodability"] == {"mode": "exhaustive", "states": 5**10, "passed": True}
+    assert doc["security_oracle"]["skipped_cap"] == doc["security_oracle"]["checked"] == 16
+    assert doc["converse"] == {"skipped": "cap"}
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["report", "simulate"])
+def test_an_undrawable_width_exits_1_with_one_line(tmp_path, capsys, command):
+    # a sampled decode draws 10**4 * 10**20 columns, a round 10**20: more than numpy
+    # can address, which numpy reports as a ValueError
+    cfg = write_config(tmp_path, block_width=10**20, caps={"enumeration": 1000})
+    scheme = tmp_path / "scheme.json"
+    assert main(["build", "--config", str(cfg), "--out", str(scheme)]) == 0
+    out = tmp_path / "out.json"
+    args = ["--scheme", str(scheme)] if command == "simulate" else []
+    assert main([command, "--config", str(cfg), "--out", str(out), *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("run failed: out of memory (an int64 array of shape (")
+    assert captured.err.count("\n") == 1
 
 
 def test_a_sweep_past_the_walk_limit_exits_2_with_one_line(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,6 +35,10 @@ def test_prime_validation():
         PrimeField(1)
     with pytest.raises(InvalidArgument):
         PrimeField(2**31 + 11)
+    start = time.monotonic()
+    with pytest.raises(InvalidArgument, match="limit"):
+        PrimeField(2**61 - 1)  # prime: refused by size, not after ~1.5e9 trial divisions
+    assert time.monotonic() - start < 1
     PrimeField(2**31 - 1)  # Mersenne prime at the size limit
 
 
@@ -292,7 +298,9 @@ def test_internal_results_meet_the_edge_contract(q, r, c, k, data):
 @given(st.integers(0, 4), st.integers(0, 5), st.sampled_from(["random", "deficient", "zero"]),
        st.data())
 def test_pivots_count_the_rank_of_every_leading_block(q, r, c, kind, data):
-    # rank(m) - rank(m[:, :k]) can be read off a single pivot list
+    # rank, a block of one of the lockstep kernel, on every leading block, in int64
+    # and in the narrowest signed dtype that FieldMatrix._wrap admits for the
+    # residues: int8 up to q = 127, int32 at 2**31 - 1, whose products need int64
     field = PrimeField(q)
     if kind == "random":
         m = drawn_matrix(data, field, r, c)
@@ -301,11 +309,25 @@ def test_pivots_count_the_rank_of_every_leading_block(q, r, c, kind, data):
         m = drawn_matrix(data, field, r, inner) @ drawn_matrix(data, field, inner, c)
     else:
         m = gf.zeros(field, r, c)
-    pivots = gf.pivots(m)
-    assert all(a < b for a, b in zip(pivots, pivots[1:]))
-    assert len(pivots) == brute_rank(m.a, q)
+    narrow = FieldMatrix._wrap(field, m.a.astype(gf._narrowest(q - 1)))
     for k in range(c + 1):
-        assert sum(p < k for p in pivots) == brute_rank(m.a[:, :k], q), k
+        expected = brute_rank(m.a[:, :k], q)
+        for wrapped in (m, narrow):
+            assert wrapped.take_cols(range(k)).rank() == expected, (k, wrapped.a.dtype)
+    assert not narrow.a.flags.writeable and narrow == m  # rank eliminated a copy
+
+
+@pytest.mark.parametrize("q,dtype", [(127, np.int8), (32749, np.int16), (2**31 - 1, np.int32)])
+def test_rank_is_exact_on_the_narrow_arrays_wrap_admits(q, dtype):
+    # the round simulator wraps residues in the narrowest dtype that holds q - 1; a
+    # rank eliminated in that dtype wraps its products, which leaves a deficient
+    # 4 x 5 product of rank `inner` < 4 looking independent
+    field, rng = PrimeField(q), np.random.default_rng(q)
+    for trial in range(200):
+        inner = trial % 4
+        m = (FieldMatrix(field, rng.integers(0, q, size=(4, inner)))
+             @ FieldMatrix(field, rng.integers(0, q, size=(inner, 5))))
+        assert FieldMatrix._wrap(field, m.a.astype(dtype)).rank() == brute_rank(m.a, q), m
 
 
 @pytest.mark.parametrize("q", INVARIANT_PRIMES)

@@ -104,18 +104,19 @@ def wire_schemes():
 
 
 def test_link_rows_match_wire():
-    # the one per-link table: row link_index(i, j) is message (i, j) over
-    # (seeds, inputs), as the protocol computes it
+    # the first N*n rows of the one gather table: row link_index(i, j) is message
+    # (i, j) over (seeds, inputs), as the protocol computes it
     for s in wire_schemes():
         wire, _ = symbolic_messages(s)
-        assert s.link_rows.shape == (len(wire), s.seed_count + s.topology.N * s.topology.n)
-        assert not s.link_rows.flags.writeable
+        link_rows = s.stack_rows[:s.topology.N * s.topology.n]
+        assert link_rows.shape == (len(wire), s.seed_count + s.topology.N * s.topology.n)
+        assert not s.stack_rows.flags.writeable
         for (i, j), (c_w, c_r) in wire.items():
-            assert s.link_rows[s.link_index(i, j)].tolist() == [*c_r, *c_w], (i, j)
+            assert link_rows[s.link_index(i, j)].tolist() == [*c_r, *c_w], (i, j)
 
 
 def test_view_matches_wire():
-    # the oracle reads adversary_view (the rank route gathers Scheme.link_rows
+    # the oracle reads adversary_view (the rank route gathers Scheme.stack_rows
     # directly); its rows must be the coefficients of the messages the protocol
     # actually sends
     for s in wire_schemes():
@@ -201,9 +202,25 @@ def test_oracle_cap_covers_the_whole_grid():
     with pytest.raises(TooLargeToEnumerate):
         mi_oracle(s, pat, cap=3**10 - 1)
     assert mi_oracle(s, pat, cap=3**10).states == 3**10
+    with pytest.raises(TooLargeToEnumerate):
+        mi_oracle(s, pat, width=10**20, cap=10**30)  # refused without building 3**(10**21)
     readme_b = build_scheme_b(build_cyclic(6, 2), PrimeField(13), 2, seed=7)
     _, rep = sweep_security(readme_b, 1, 2, oracle_cap=10**6)
     assert (rep.checked, rep.skipped_cap, rep.passed, rep.failed) == (154, 154, 0, 0)
+    rank, rep = sweep_security(s, 1, 0, width=10**20)
+    assert (rep.checked, rep.skipped_cap) == (4, 4) and rank.passed == 4
+
+
+def test_states_decides_the_cap_without_building_a_power_past_it():
+    # q >= 2, so from cap.bit_length() variables on the grid is past the cap
+    for cap in (1, 2, 3, 80, 81, 2**20 - 1, 2**20, 10**30):
+        for q in (2, 3, 65537):
+            for n_vars in range(cap.bit_length() + 2):
+                if q ** n_vars <= cap:
+                    assert verify._states(q, n_vars, cap) == q ** n_vars
+                else:
+                    with pytest.raises(TooLargeToEnumerate):
+                        verify._states(q, n_vars, cap)
 
 
 def test_oracle_monotone_under_fewer_relays():
@@ -651,6 +668,8 @@ def test_converse_spot_checks_cap_covers_the_whole_block():
     with pytest.raises(TooLargeToEnumerate):
         converse_spot_checks(s, width=2, cap=3**8 - 1)
     converse_spot_checks(s, width=1, cap=3**4)
+    with pytest.raises(TooLargeToEnumerate):
+        converse_spot_checks(s, width=10**20, cap=10**30)  # 3**(4 * 10**20) is never built
 
 
 @pytest.mark.parametrize("width", [0, -1])
@@ -691,7 +710,7 @@ def test_oracle_stays_off_the_rank_path(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("the oracle reached an elimination routine or the rank peel")
 
-    for routine in ("_echelon_pivots", "_all_nonsingular", "_lockstep_ranks", "_rref"):
+    for routine in ("_all_nonsingular", "_lockstep_ranks", "_rref"):
         monkeypatch.setattr(gf, routine, no_elimination)
     for routine in ("_leaks", "_peel"):
         monkeypatch.setattr(verify, routine, no_elimination)
@@ -699,9 +718,8 @@ def test_oracle_stays_off_the_rank_path(monkeypatch):
     key_map = schemes[0].key_map
     square = key_map.take_cols(range(key_map.rows))
     one = np.ones((1, 1), dtype=np.intp)
-    for eliminate in (key_map.rank, square.inverse, lambda: gf.pivots(key_map),
-                      lambda: gf.mds_check(key_map), lambda: verify._leaks(schemes[1], one, one),
-                      lambda: verify._peel(one, one, 0),
+    for eliminate in (key_map.rank, square.inverse, lambda: gf.mds_check(key_map),
+                      lambda: verify._leaks(schemes[1], one, one), lambda: verify._peel(one, one, 0),
                       lambda: gf._lockstep_ranks(np.ones((1, 1, 1), dtype=np.int64), 3),
                       lambda: schemes[1].stack_supports,
                       lambda: rank_leak(schemes[1], CollusionPattern([1], [2]))):
