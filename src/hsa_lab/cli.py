@@ -49,6 +49,7 @@ from .topology import (
     build_explicit,
     build_multiple_cyclic,
     build_tree,
+    cyclic_copies,
 )
 
 CONFIG_SCHEMA = "hsa-lab/config/1"
@@ -137,7 +138,7 @@ def parse_config(d: dict) -> RunConfig:
         except HsaLabError as exc:
             raise ConfigError(f"scheme B: {exc}") from exc
     if variant == "C":
-        if top.N != top.K or top.n != 2 or top != build_cyclic(top.N, 2):
+        if top.n != 2 or cyclic_copies(top) != 1:
             raise ConfigError("scheme C needs a cyclic topology with n = 2")
         if field.q < top.N + 2:
             raise ConfigError(f"scheme C needs q >= N + 2 = {top.N + 2}")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one rule for file integers."""
+"""Exception types, and the one rule each for file integers (as_int) and counts (at_least_one)."""
 
 
 class HsaLabError(Exception):
@@ -77,3 +77,8 @@ def as_int(value, what: str) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError):
         raise InvalidArgument(f"{what} must be an integer, got {value!r}") from None
+
+
+def at_least_one(value: int, what: str):
+    if value < 1:
+        raise InvalidArgument(f"{what} must be at least 1, got {value}")

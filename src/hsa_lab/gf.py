@@ -267,11 +267,11 @@ def _matmul(q: int, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 def _all_nonsingular(stack: np.ndarray, q: int) -> bool:
     """True iff every matrix of the (B, n, n) stack is nonsingular.
 
-    Eliminates all B matrices in lockstep, fraction-free: at step k each one
-    needs a nonzero at or below row k in column k, and the first matrix
-    without one ends the check.
+    Eliminates all B matrices in lockstep, fraction-free, in an int64 copy
+    whatever the stack's dtype: at step k each one needs a nonzero at or
+    below row k in column k, and the first matrix without one ends the check.
     """
-    m = stack.copy()
+    m = stack.astype(np.int64)
     b, n, _ = m.shape
     batch = np.arange(b)
     for k in range(n):

@@ -100,9 +100,9 @@ def run_round(s: Scheme, inputs, seed: int = 0,
               keys: KeyMaterial | None = None) -> Transcript:
     """Execute one full round and compare the decode against the direct sum.
 
-    `keys` overrides the sampled key material (used to replay transcripts
-    and to run the keyless baseline); otherwise seeds are drawn from the
-    given generator seed, one column per input column.
+    `keys` overrides the sampled key material: check_decodability passes
+    its enumerated or drawn seeds through it.  Otherwise seeds are drawn
+    from the given generator seed, one column per input column.
     """
     top = s.topology
     if len(inputs) != top.N:

@@ -39,9 +39,10 @@ from .errors import (
     ShapeError,
     SingularMatrix,
     as_int,
+    at_least_one,
 )
 from .gf import FieldMatrix, PrimeField
-from .topology import Topology, build_multiple_cyclic
+from .topology import Topology, build_multiple_cyclic, cyclic_copies
 
 VARIANT_LINK_KEYS = "A"
 VARIANT_WEIGHTED = "BL"
@@ -318,12 +319,12 @@ def build_scheme_a(top: Topology, field: PrimeField, seed: int = 0,
         if not gf.mds_check(decode_matrix):
             raise InvalidArgument("supplied decoding matrix is not MDS")
 
-    encoders = _encoders_from(decode_matrix, top)
+    blocks = _column_blocks(decode_matrix, top)
+    encoders = tuple(block.inverse() for block in blocks)
 
     # Seeds: one per link of users 1..N-1.  The last user's keys are the
     # unique linear functions of those seeds that cancel the masks:
     #   keys_N = -(sum over i<N of keys_i * block_i^T) * (block_N^T)^{-1}
-    blocks = _column_blocks(decode_matrix, top)
     stacked = gf.vstack([b.T for b in blocks[:-1]])           # (N-1)n x n
     last_inv_t = encoders[-1].T                    # (block_N^T)^{-1} = (block_N^{-1})^T
     key_map = gf.hstack([gf.identity(field, (big_n - 1) * n), -(stacked @ last_inv_t)])
@@ -348,10 +349,7 @@ def scheme_b_parameters(top: Topology, field: PrimeField, t_u: int) -> tuple[int
         FieldTooSmall: q <= t_u + m.
         NoSuchRoot: the copy count does not divide q - 1.
     """
-    if top.N % top.K != 0:
-        raise InfeasibleParameters("weighted scheme needs N to be a multiple of K")
-    copies = top.N // top.K
-    if top != build_multiple_cyclic(top.K, top.n, copies):
+    if (copies := cyclic_copies(top)) is None:
         raise InfeasibleParameters("weighted scheme needs a (multiple) cyclic topology")
     if t_u < 0:
         raise InvalidArgument("t_u must be nonnegative")
@@ -520,22 +518,17 @@ def derive_user_keys(s: Scheme, seeds: FieldMatrix) -> KeyMaterial:
     keys_per_user rows of key_map^T @ seeds, user_key_map(i)^T @ seeds.
 
     A key whose key_map column is a unit column is a copy of one seed row, so
-    those rows are gathered (Scheme.key_gather); only the other columns go
-    through one product.  Variant A's keys of users 1..N-1 are all such
-    copies.  The keys keep the seeds' dtype unless the product is wider."""
+    those rows are gathered (Scheme.key_gather); the other columns, if any,
+    go through one product.  Variant A's keys of users 1..N-1 are all such
+    copies.  The keys take the product's dtype, never narrower than the seeds'."""
     if seeds.field != s.field:
         raise ShapeError("seeds live in another field")
     if seeds.rows != s.seed_count:
         raise ShapeError(f"expected {s.seed_count} seed rows, got {seeds.rows}")
     unit, rows, rest, rest_map = s.key_gather
-    if not rest.size:
-        keys = seeds.a[rows]
-    elif not unit.size:
-        keys = gf._matmul(s.field.q, (rest_map, seeds.a))
-    else:
-        product = gf._matmul(s.field.q, (rest_map, seeds.a))
-        keys = np.empty((s.key_map.cols, seeds.cols), dtype=product.dtype)
-        keys[unit], keys[rest] = seeds.a[rows], product
+    product = gf._matmul(s.field.q, (rest_map, seeds.a))
+    keys = np.empty((s.key_map.cols, seeds.cols), dtype=product.dtype)
+    keys[unit], keys[rest] = seeds.a[rows], product
     per_user = tuple(FieldMatrix._wrap(s.field, z)
                      for z in keys.reshape(s.topology.N, s.keys_per_user, seeds.cols))
     return KeyMaterial(seeds=seeds, per_user=per_user)
@@ -547,8 +540,7 @@ def sample_keys(s: Scheme, width: int = 1, seed: int = 0) -> KeyMaterial:
     Raises:
         InvalidArgument: if width < 1.
     """
-    if width < 1:
-        raise InvalidArgument("block width must be at least 1")
+    at_least_one(width, "block width")
     rng = np.random.default_rng(seed)
     seeds = FieldMatrix(s.field, s.field.rand(rng, (s.seed_count, width)))
     return derive_user_keys(s, seeds)

@@ -124,6 +124,13 @@ def build_multiple_cyclic(n_relays: int, relays_per_user: int, copies: int) -> T
     return build_explicit(copies * n_relays, n_relays, links)
 
 
+def cyclic_copies(top: Topology) -> int | None:
+    """copies if top equals build_multiple_cyclic(K, n, copies), else None: by value, so a
+    relabelled cyclic network is not recognised."""
+    copies, rest = divmod(top.N, top.K)
+    return copies if rest == 0 and top == build_multiple_cyclic(top.K, top.n, copies) else None
+
+
 def build_tree(n_relays: int, users_per_relay: int) -> Topology:
     """Tree network: each of the K relays owns its own block of V users (n = 1)."""
     if n_relays < 2:
@@ -154,8 +161,7 @@ def collusion_threshold(top: Topology, t_h: int, cap: int = 10**8) -> int:
     """
     if not 0 < t_h <= top.K - top.n:
         raise InvalidArgument(f"t_h={t_h} outside (0, K-n] = (0, {top.K - top.n}]")
-    copies, rest = divmod(top.N, top.K)
-    if rest == 0 and top == build_multiple_cyclic(top.K, top.n, copies):
+    if copies := cyclic_copies(top):
         return copies * (top.K - t_h)
     size = top.K - t_h - top.n + 1
     if math.comb(top.K, size) > cap:

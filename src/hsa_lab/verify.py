@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import gf
-from .errors import InvalidArgument, TooLargeToEnumerate
+from .errors import InvalidArgument, TooLargeToEnumerate, at_least_one
 from .gf import FieldMatrix
 from .protocol import run_round
 from .schemes import Scheme, derive_user_keys, link_key_constraint_ok
@@ -41,11 +41,6 @@ _CHUNK_COLUMNS = 1 << 17
 _DRAW_BLOCK = 4096  # reservoir replacement indices drawn per call
 _BLOCK_ENTRIES = 1 << 17  # stack entries per rank-kernel block, at most
 _WALK_LIMIT = 1 << 32  # patterns a sweep walks, at most
-
-
-def _at_least_one(value: int, what: str):
-    if value < 1:
-        raise InvalidArgument(f"{what} must be at least 1, got {value}")
 
 
 def _states(q: int, n_vars: int, cap: int) -> int:
@@ -301,20 +296,19 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     over the free users' inputs and the seeds, H(V | U, C) over the seeds
     alone.  Both count one block column, times width: the width-w maps are w
     copies of the width-1 maps on disjoint variables.  The cap and `states`
-    still cover every input and seed of the whole block.
+    still cover every input and seed of the whole block.  The view and the
+    colluders' key rows are gathered from Scheme.stack_rows, unreduced.
 
     Raises:
-        InvalidArgument: if width < 1.
+        InvalidArgument: if width < 1 or p has an id out of range.
         TooLargeToEnumerate: if q**((N*n + seeds) * width) exceeds cap.
     """
-    _at_least_one(width, "block width")
-    p.validate(s)
+    at_least_one(width, "block width")
+    view, top = adversary_view(s, p), s.topology
     q, total = s.field.q, _oracle_states(s, width, cap)
     # the view V = [V_w | V_s] without the colluders' input columns, and their key rows
-    view, n, k = adversary_view(s, p), s.topology.n, s.keys_per_user
-    v_s = view.c_r.a
-    v_free = view.c_w.a[:, [c for c in range(s.topology.N * n) if c // n + 1 not in p.users]]
-    keys = s.key_map.a[:, [(i - 1) * k + t for i in p.users for t in range(k)]].T
+    v_s, keys = view.c_r.a, s.stack_rows[s.stack_index[2][list(p.users)].ravel(), :s.seed_count]
+    v_free = view.c_w.a[:, np.repeat(np.bincount(p.users, minlength=top.N + 1)[1:] == 0, top.n)]
     given = np.hstack([keys, np.zeros((keys.shape[0], v_free.shape[1]), dtype=np.int64)])
     mi = width * (_cond_entropy(np.hstack([v_s, v_free]), given, q) - _cond_entropy(v_s, keys, q))
     return OracleResult(is_zero=(mi == 0), mi_value=mi, states=total)
@@ -384,8 +378,8 @@ def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
     Raises:
         InvalidArgument: if width < 1 or samples < 1.
     """
-    _at_least_one(width, "block width")
-    _at_least_one(samples, "samples")
+    at_least_one(width, "block width")
+    at_least_one(samples, "samples")
     top, q = s.topology, s.field.q
     n_vars = top.N * top.n + s.seed_count
     # every product of the round widens its operands to at least a dtype that holds one
@@ -405,8 +399,10 @@ def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
 # -- pattern sweeps ------------------------------------------------------------
 
 
-def _pattern_sizes(t_h: int, t_u: int, all_sizes: bool):
-    """(relay sizes, user sizes) of the patterns a sweep covers."""
+def _pattern_sizes(top, t_h: int, t_u: int, all_sizes: bool):
+    """(relay sizes, user sizes) of the patterns a sweep covers; a budget past
+    the network's K relays or N users covers all of them."""
+    t_h, t_u = min(t_h, top.K), min(t_u, top.N)
     return (range(t_h + 1), range(t_u + 1)) if all_sizes else ((t_h,), (t_u,))
 
 
@@ -420,7 +416,7 @@ def iter_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> Iterator[Collusio
     then relay combination, then user combination, each lexicographic; a
     pattern's place in it is its index.
     """
-    relay_sizes, user_sizes = _pattern_sizes(t_h, t_u, all_sizes)
+    relay_sizes, user_sizes = _pattern_sizes(top, t_h, t_u, all_sizes)
     for rs in relay_sizes:
         for us in user_sizes:
             for relays in itertools.combinations(range(1, top.K + 1), rs):
@@ -429,7 +425,7 @@ def iter_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> Iterator[Collusio
 
 
 def count_patterns(top, t_h: int, t_u: int, all_sizes: bool) -> int:
-    relay_sizes, user_sizes = _pattern_sizes(t_h, t_u, all_sizes)
+    relay_sizes, user_sizes = _pattern_sizes(top, t_h, t_u, all_sizes)
     return sum(math.comb(top.K, rs) * math.comb(top.N, us)
                for rs in relay_sizes for us in user_sizes)
 
@@ -461,7 +457,7 @@ def _pattern_blocks(top, t_h: int, t_u: int, all_sizes: bool, indices: np.ndarra
     block, the ids as rows of 1-based arrays.  No other pattern is built."""
     order = np.argsort(indices, kind="stable")
     ranked, lo, end = indices[order], 0, 0
-    relay_sizes, user_sizes = _pattern_sizes(t_h, t_u, all_sizes)
+    relay_sizes, user_sizes = _pattern_sizes(top, t_h, t_u, all_sizes)
     for rs in relay_sizes:
         for us in user_sizes:
             n_users = math.comb(top.N, us)
@@ -548,11 +544,12 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
         TooLargeToEnumerate: past _WALK_LIMIT patterns, before any is
             sampled or checked.
     """
-    _at_least_one(budget, "sweep budget")
-    _at_least_one(width, "block width")
+    at_least_one(budget, "sweep budget")
+    at_least_one(width, "block width")
+    top = s.topology
     if all_sizes is None:
-        all_sizes = s.topology.N <= 6 and s.topology.K <= 6
-    if (total := count_patterns(s.topology, t_h, t_u, all_sizes)) > _WALK_LIMIT:
+        all_sizes = top.N <= 6 and top.K <= 6
+    if (total := count_patterns(top, t_h, t_u, all_sizes)) > _WALK_LIMIT:
         raise TooLargeToEnumerate(f"{total} collusion patterns exceed the sweep's walk limit "
                                   f"{_WALK_LIMIT}")
     reports = tuple(SweepReport(method, all_sizes, total, subsampled=total > budget)
@@ -563,11 +560,10 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
     except TooLargeToEnumerate:
         run_oracle = False
     indices = _sample(total, budget, seed) if total > budget else np.arange(total)
-    rows = t_h * s.stack_index[0].shape[1] + t_u * s.keys_per_user  # of the largest stack
-    block = max(1, _BLOCK_ENTRIES // max(1, rows * s.stack_rows.shape[1]))
+    max_rows = min(t_h, top.K) * s.stack_index[0].shape[1] + min(t_u, top.N) * s.keys_per_user
+    block = max(1, _BLOCK_ENTRIES // max(1, max_rows * s.stack_rows.shape[1]))
     verdicts = np.full((2, len(indices)), -1, dtype=np.int8)  # 1 passed, 0 failed, -1 none
-    for places, relays, users in _pattern_blocks(s.topology, t_h, t_u, all_sizes, indices,
-                                                 block):
+    for places, relays, users in _pattern_blocks(top, t_h, t_u, all_sizes, indices, block):
         if not run_oracle:
             verdicts[0, places] = _leaks(s, relays, users) == 0
             continue
@@ -584,7 +580,7 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
         report.passed, report.failed, report.skipped_cap = (int((ok == v).sum())
                                                             for v in (1, 0, -1))
         if report.failed:  # unranked once more, from its index
-            _, relays, users = next(_pattern_blocks(s.topology, t_h, t_u, all_sizes,
+            _, relays, users = next(_pattern_blocks(top, t_h, t_u, all_sizes,
                                                     indices[[(ok == 0).argmax()]], 1))
             report.first_failure = CollusionPattern(relays[0].tolist(), users[0].tolist())
     return reports
@@ -626,26 +622,25 @@ class ConverseChecks:
 def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> ConverseChecks:
     """Enumerate H(link key | other users' keys) for every link, and the
     per-user key entropy sum, over the key-seed space: for one block column,
-    times width, as in mi_oracle.
+    times width, as in mi_oracle, on the seed parts of Scheme.stack_rows.
 
     Raises:
         InvalidArgument: if width < 1.
         TooLargeToEnumerate: if q**(seeds * width) exceeds cap.
     """
-    _at_least_one(width, "block width")
-    top = s.topology
-    _states(s.field.q, s.seed_count * width, cap)
+    at_least_one(width, "block width")
+    top, q, key_rows = s.topology, s.field.q, s.stack_index[2]
+    _states(q, s.seed_count * width, cap)
+    seed_rows = s.stack_rows[:, :s.seed_count]
     per_link: dict[tuple[int, int], Fraction] = {}
     for i in range(1, top.N + 1):
-        others = gf.vstack([s.user_key_map(k).T for k in range(1, top.N + 1) if k != i])
+        others = seed_rows[np.delete(key_rows[1:], i - 1, axis=0).ravel()]
         for j in top.user_links[i - 1]:
-            target = s.link_keys.take_cols([s.link_index(i, j)]).T
-            per_link[(i, j)] = width * cond_entropy_enumerated(target, others, cap=cap)
+            target = seed_rows[[s.link_index(i, j)]]
+            per_link[(i, j)] = width * _cond_entropy(target, others, q)
 
-    empty = gf.zeros(s.field, 0, s.seed_count)
-    total = Fraction(0)
-    for i in range(1, top.N + 1):
-        total += width * cond_entropy_enumerated(s.user_key_map(i).T, empty, cap=cap)
+    total = sum((width * _cond_entropy(seed_rows[key_rows[i]], seed_rows[:0], q)
+                 for i in range(1, top.N + 1)), Fraction(0))
 
     return ConverseChecks(
         per_link_entropy=per_link,

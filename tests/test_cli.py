@@ -235,6 +235,28 @@ def test_verify_pass_and_tamper(tmp_path, capsys):
                  "--out", str(tmp_path / "v2.json")]) == 1
 
 
+@pytest.mark.parametrize("topology,q,security,checked_failed", [
+    ({"K": 8}, 13, {"t_h": 9, "t_u": 1}, (8, 8)),        # t_h past K = 8 relays
+    ({"K": 3}, 5, {"t_h": 1, "t_u": 10**12}, (32, 6)),  # t_u past N = 3 users
+])
+def test_a_budget_past_the_network_sweeps_all_of_it(tmp_path, topology, q, security,
+                                                    checked_failed):
+    # a vacuous pass past K, or a walk of range(t_u + 1) past N, would be wrong
+    cfg = write_config(tmp_path, topology=topology, field_q=q, security=security)
+    scheme_path, out, report = (tmp_path / name for name in ("scheme.json", "verify.json",
+                                                             "report.json"))
+    assert main(["build", "--config", str(cfg), "--out", str(scheme_path)]) == 0
+    start = time.monotonic()
+    assert main(["verify", "--config", str(cfg), "--scheme", str(scheme_path),
+                 "--out", str(out)]) == 1
+    assert time.monotonic() - start < 10
+    doc = read_json(out)
+    assert doc["verdict"] == "fail"
+    assert (doc["security_rank"]["checked"], doc["security_rank"]["failed"]) == checked_failed
+    assert main(["report", "--config", str(cfg), "--out", str(report)]) == 1
+    assert read_json(report)["verdict"] == "infeasible"
+
+
 def test_verify_topology_mismatch(tmp_path):
     cfg = write_config(tmp_path, field_q=3)
     scheme_path = tmp_path / "scheme.json"

@@ -1,4 +1,5 @@
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -328,6 +329,20 @@ def test_rank_is_exact_on_the_narrow_arrays_wrap_admits(q, dtype):
         m = (FieldMatrix(field, rng.integers(0, q, size=(4, inner)))
              @ FieldMatrix(field, rng.integers(0, q, size=(inner, 5))))
         assert FieldMatrix._wrap(field, m.a.astype(dtype)).rank() == brute_rank(m.a, q), m
+
+
+@pytest.mark.parametrize("q,dtype", [(127, np.int8), (32749, np.int16), (2**31 - 1, np.int32)])
+def test_mds_check_is_exact_on_the_narrow_arrays_wrap_admits(q, dtype):
+    # as for rank: minors eliminated in the matrix's own narrow dtype wrap their
+    # products; every other 3 x 5 matrix has a column planted in the span of two others
+    field, rng = PrimeField(q), np.random.default_rng(q)
+    for trial in range(200):
+        m = rng.integers(0, q, size=(3, 5))
+        if trial % 2:
+            a, b = (int(x) for x in rng.integers(1, q, size=2))
+            m[:, 4] = (a * m[:, 0] % q + b * m[:, 1] % q) % q
+        expected = all(brute_rank(m[:, list(cols)], q) == 3 for cols in combinations(range(5), 3))
+        assert gf.mds_check(FieldMatrix._wrap(field, m.astype(dtype))) == expected, m
 
 
 @pytest.mark.parametrize("q", INVARIANT_PRIMES)

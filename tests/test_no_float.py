@@ -1,6 +1,7 @@
-"""No floating point in a verdict: the modules that decide one are scanned for it.
+"""No floating point in a verdict: every module of the package is scanned for it.
 
-`cli` (timing) and `errors` (an input type check) are left out on purpose.
+`cli` (timing) and `errors` (an input type check) are left out on purpose; a
+new module is scanned without being listed.
 """
 
 import ast
@@ -10,7 +11,9 @@ import pytest
 
 import hsa_lab
 
-VERDICT_MODULES = ["gf", "topology", "bounds", "schemes", "protocol", "verify"]
+UNSCANNED = {"cli", "errors"}
+VERDICT_MODULES = sorted(path.stem for path in Path(hsa_lab.__file__).parent.glob("*.py")
+                         if path.stem not in UNSCANNED)
 FLOAT_ATTRS = ("log", "float")  # prefixes, as in np.log2 or np.float64
 FLOAT_ATTRS_EXACT = ("sqrt", "exp")
 
@@ -43,3 +46,8 @@ def test_scan_sees_every_kind_of_float_use():
             "np.float64(1)", "np.exp(1)"]
     assert [len(float_uses(u)) for u in uses] == [1] * len(uses)
     assert float_uses("x // 2\nFraction(1, 2)\nnp.int64(1)\n") == []
+
+
+def test_every_module_but_cli_and_errors_is_scanned():
+    assert {"gf", "topology", "bounds", "schemes", "protocol", "verify"} <= set(VERDICT_MODULES)
+    assert not UNSCANNED & set(VERDICT_MODULES)

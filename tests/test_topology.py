@@ -8,6 +8,7 @@ from hsa_lab.topology import (
     build_multiple_cyclic,
     build_tree,
     collusion_threshold,
+    cyclic_copies,
     min_cut,
 )
 
@@ -86,6 +87,21 @@ def test_bipartite_consistency(top):
         for i in top.relay_links[j - 1]:
             assert j in top.user_links[i - 1]
     assert top.N * top.n == top.K * top.m
+
+
+def test_cyclic_copies_recognises_cyclic_networks_by_value():
+    assert cyclic_copies(build_cyclic(5, 2)) == 1
+    for k, n, t in [(3, 2, 1), (3, 2, 2), (7, 2, 2), (4, 3, 3)]:
+        assert cyclic_copies(build_multiple_cyclic(k, n, t)) == t
+    for top in (build_tree(3, 2), build_tree(4, 3)):
+        assert cyclic_copies(top) is None
+    assert cyclic_copies(build_tree(2, 1)) == 1  # one user per relay: cyclic with n = 1
+    # the triangle written out is cyclic(3, 2); the same network with users 2 and 3
+    # swapped is isomorphic to it, yet not equal, so it is not recognised
+    assert cyclic_copies(build_explicit(3, 3, [[1, 2], [2, 3], [1, 3]])) == 1
+    assert cyclic_copies(build_explicit(3, 3, [[1, 2], [1, 3], [2, 3]])) is None
+    assert cyclic_copies(build_explicit(4, 4, [[1, 2], [2, 3], [3, 4], [1, 4]])) == 1
+    assert cyclic_copies(build_explicit(4, 4, [[1, 4], [3, 4], [2, 3], [1, 2]])) is None
 
 
 def test_collusion_threshold_examples():

@@ -434,6 +434,24 @@ def test_a_sweep_of_a_quarter_billion_patterns_is_within_the_walk_limit():
     assert count_patterns(build_cyclic(30, 3), 2, 6, False) == 435 * 593_775 <= verify._WALK_LIMIT
 
 
+def test_a_budget_past_the_network_covers_all_of_it():
+    # there is no pattern of more than K relays or N users, so such a budget sweeps
+    # the patterns of budget K or N: it may neither check no pattern nor count
+    # range(t_u + 1) up to a huge t_u
+    tri, octagon = build_cyclic(3, 2), build_cyclic(8, 2)
+    assert count_patterns(tri, 1, 10**12, True) == count_patterns(tri, 1, 3, True) == 32
+    assert list(iter_patterns(tri, 1, 10**12, True)) == list(iter_patterns(tri, 1, 3, True))
+    assert count_patterns(octagon, 9, 1, False) == count_patterns(octagon, 8, 1, False) == 8
+    s = build_scheme_a(tri, F5, seed=0)
+    reports = sweep_security(s, 1, 10**12)
+    assert reports == sweep_security(s, 1, 3)
+    assert [(r.checked, r.failed) for r in reports] == [(32, 6), (32, 6)]
+    s = build_scheme_a(octagon, PrimeField(13), seed=0)
+    rank, oracle = sweep_security(s, 9, 1)
+    assert (rank, oracle) == sweep_security(s, 8, 1)
+    assert (rank.checked, rank.failed, oracle.skipped_cap) == (8, 8, 8)
+
+
 @pytest.mark.parametrize("kwargs", [{"budget": 0}, {"budget": -3}])
 def test_sweep_rejects_an_empty_budget(kwargs):
     # a zero budget would check nothing and still report all_passed
