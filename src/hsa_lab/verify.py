@@ -35,7 +35,7 @@ from . import gf
 from .errors import InvalidArgument, TooLargeToEnumerate, at_least_one
 from .gf import FieldMatrix
 from .protocol import run_round
-from .schemes import Scheme, derive_user_keys, link_key_constraint_ok
+from .schemes import KeyMaterial, Scheme, derive_user_keys, link_key_constraint_ok
 
 _CHUNK_COLUMNS = 1 << 17
 _DRAW_BLOCK = 4096  # reservoir replacement indices drawn per call
@@ -180,17 +180,17 @@ def check_security_rank(s: Scheme, p: CollusionPattern) -> bool:
 
 
 def _assignments(q: int, n_vars: int, dtype: np.dtype) -> Iterator[np.ndarray]:
-    """All q**n_vars assignments in row-major order, as columns of C-contiguous (n_vars, q**k)
-    chunks of dtype (k maximal with q**k <= _CHUNK_COLUMNS): one per high-digit value over
-    the low block."""
+    """All q**n_vars assignments in row-major order, as columns of one C-contiguous (n_vars, q**k)
+    buffer of dtype (k maximal with q**k <= _CHUNK_COLUMNS) whose low rows are written once: each
+    chunk rewrites the high rows with the next high-digit value, so it is valid until the next."""
     k = 0
     while k < n_vars and q ** (k + 1) <= _CHUNK_COLUMNS:
         k += 1
-    low = np.indices((q,) * k, dtype=dtype).reshape(k, q ** k)
+    chunk = np.empty((n_vars, q ** k), dtype=dtype)
+    for v in range(k):  # low row v repeats each digit q**(k - 1 - v) times, q**v times over
+        chunk[n_vars - k + v].reshape(q ** v, q, -1)[:] = np.arange(q, dtype=dtype)[:, None]
     for high in np.ndindex((q,) * (n_vars - k)):
-        chunk = np.empty((n_vars, low.shape[1]), dtype=dtype)
         chunk[:n_vars - k] = np.array(high, dtype=dtype)[:, None]
-        chunk[n_vars - k:] = low
         yield chunk
 
 
@@ -207,16 +207,14 @@ def _dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
 
 
 def _row_symbols(row: np.ndarray, q: int, n_vars: int) -> np.ndarray:
-    """row . s mod q on the grid, as an outer sum over the row's support only."""
-    dtype = np.min_scalar_type(2 * q - 1)
-    digits = np.arange(q, dtype=np.int64)
+    """row . s mod q on the grid, as an outer sum over the row's support only, reduced once."""
+    support = np.flatnonzero(row)
+    dtype = gf._narrowest(len(support) * q)  # holds q and the sum (_fold skips zero rows)
+    table = (row[support, None] * np.arange(q) % q).astype(dtype)
     sym = np.zeros((1,) * n_vars, dtype=dtype)
-    for v in np.flatnonzero(row):
-        axis = [1] * n_vars
-        axis[v] = q
-        sym = sym + ((int(row[v]) * digits) % q).astype(dtype).reshape(axis)
-        sym = np.minimum(sym, sym - dtype.type(q))  # unsigned wrap keeps sym < q
-    return sym
+    for v, terms in zip(support, table):
+        sym = sym + terms.reshape((1,) * v + (q,) + (1,) * (n_vars - 1 - v))
+    return sym % dtype.type(q)
 
 
 def _fold(image: tuple[np.ndarray, int], mat: np.ndarray, q: int) -> tuple[np.ndarray, int]:
@@ -234,7 +232,7 @@ def _fold(image: tuple[np.ndarray, int], mat: np.ndarray, q: int) -> tuple[np.nd
         if not row.any():
             continue
         sym = _row_symbols(row, q, keys.ndim)
-        cells = math.prod(np.broadcast_shapes(keys.shape, sym.shape))
+        cells = math.prod(map(max, zip(keys.shape, sym.shape)))
         if n * q > cells:
             keys, n = _dense_ranks(keys, n)
             if n == cells:  # every class is one cell of the grid: nothing to split
@@ -253,22 +251,25 @@ def _entropy_sum(image: tuple[np.ndarray, int], q: int, total: int) -> int:
     """
     ranks, n = image
     counts = np.bincount(ranks.ravel(), minlength=n)
-    exps = np.zeros(n, dtype=np.int64)
-    rest = counts.copy()
-    while (divisible := (rest > 1) & (rest % q == 0)).any():
-        rest[divisible] //= q
-        exps[divisible] += 1
-    if (rest != 1).any():
-        raise InvalidArgument(f"class count {int(counts[rest != 1][0])} is not a power of {q}")
+    powers = [1]  # in Python ints up to the largest count: q ** np.arange(...) wraps in int64
+    while powers[-1] * q <= counts.max():
+        powers.append(powers[-1] * q)
+    exps = np.searchsorted(powers, counts, side="right") - 1
+    if (bad := np.array(powers)[exps] != counts).any():
+        raise InvalidArgument(f"class count {int(counts[bad][0])} is not a power of {q}")
     free = ranks.shape.count(1)
     return q**free * int(counts @ exps) + total * free
 
 
+def _given(b_mat: np.ndarray, q: int) -> tuple[tuple[np.ndarray, int], int]:
+    """(image of B.s, q**cols) for s uniform over b_mat's columns."""
+    n_vars = b_mat.shape[1]
+    return _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), b_mat, q), q ** n_vars
+
+
 def _cond_entropy(a_mat: np.ndarray, b_mat: np.ndarray, q: int) -> Fraction:
     """H(A.s | B.s) in log_q units, s uniform over the maps' columns."""
-    n_vars = a_mat.shape[1]
-    total = q ** n_vars
-    given = _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), b_mat, q)
+    given, total = _given(b_mat, q)
     return Fraction(_entropy_sum(given, q, total)
                     - _entropy_sum(_fold(given, a_mat, q), q, total), total)
 
@@ -289,15 +290,15 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
               cap: int = 10**8) -> OracleResult:
     """Brute-force mutual information of (inputs; view | colluders' data).
 
-    Returns I(U; V | C) = H(V | C) - H(V | U, C) exactly (log_q units), for
-    U the inputs, V the view and C the colluders' inputs and keys.  A known
-    input is a unit row: conditioning on it only shifts the other maps by a
-    known constant, so its column leaves the grid.  H(V | C) is thus counted
-    over the free users' inputs and the seeds, H(V | U, C) over the seeds
-    alone.  Both count one block column, times width: the width-w maps are w
-    copies of the width-1 maps on disjoint variables.  The cap and `states`
-    still cover every input and seed of the whole block.  The view and the
-    colluders' key rows are gathered from Scheme.stack_rows, unreduced.
+    Returns I(U; V | C) exactly (log_q units), for U the inputs, V the view
+    and C the colluders' inputs and keys.  A known input is a unit row that
+    only shifts the other maps by a known constant, so its column leaves the
+    grid: on the seeds and the free users' inputs, with K the colluders' key
+    rows and V = [V_s | V_free], I = H(V | C) - H(V | U, C) = H(K, V) -
+    H(K, V_s), as H(K) cancels.  K is folded once and two joint images are
+    counted, for one block column, times width: a width-w block is w copies
+    of the width-1 maps on disjoint variables.  The cap and `states` cover
+    every input and seed of the whole block.  V and K are Scheme.stack_rows.
 
     Raises:
         InvalidArgument: if width < 1 or p has an id out of range.
@@ -305,13 +306,15 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
     """
     at_least_one(width, "block width")
     view, top = adversary_view(s, p), s.topology
-    q, total = s.field.q, _oracle_states(s, width, cap)
-    # the view V = [V_w | V_s] without the colluders' input columns, and their key rows
+    q, states = s.field.q, _oracle_states(s, width, cap)
+    # the view V = [V_s | V_free] without the colluders' input columns, and their key rows K
     v_s, keys = view.c_r.a, s.stack_rows[s.stack_index[2][list(p.users)].ravel(), :s.seed_count]
     v_free = view.c_w.a[:, np.repeat(np.bincount(p.users, minlength=top.N + 1)[1:] == 0, top.n)]
-    given = np.hstack([keys, np.zeros((keys.shape[0], v_free.shape[1]), dtype=np.int64)])
-    mi = width * (_cond_entropy(np.hstack([v_s, v_free]), given, q) - _cond_entropy(v_s, keys, q))
-    return OracleResult(is_zero=(mi == 0), mi_value=mi, states=total)
+    given, total = _given(np.hstack([keys, np.zeros((len(keys), v_free.shape[1]), np.int64)]), q)
+    h_v, h_vs = (_entropy_sum(_fold(given, np.hstack([v_s, v]), q), q, total)
+                 for v in (v_free, np.zeros_like(v_free)))
+    mi = width * Fraction(h_vs - h_v, total)
+    return OracleResult(is_zero=(mi == 0), mi_value=mi, states=states)
 
 
 def cond_entropy_enumerated(a_map: FieldMatrix, b_map: FieldMatrix,
@@ -332,13 +335,13 @@ def cond_entropy_enumerated(a_map: FieldMatrix, b_map: FieldMatrix,
 # -- decodability --------------------------------------------------------------
 
 
-def _simulate_columns(s: Scheme, columns: np.ndarray) -> bool:
+def _simulate_columns(s: Scheme, columns: np.ndarray, keys: Optional[KeyMaterial] = None) -> bool:
     """Run one batched round where each column is an independent assignment."""
     top = s.topology
-    n_w = top.N * top.n
     inputs = [FieldMatrix._wrap(s.field, columns[(i - 1) * top.n:i * top.n, :])
               for i in range(1, top.N + 1)]
-    keys = derive_user_keys(s, FieldMatrix._wrap(s.field, columns[n_w:, :]))
+    if keys is None:  # else they are the keys the columns' seed rows derive
+        keys = derive_user_keys(s, FieldMatrix._wrap(s.field, columns[top.N * top.n:, :]))
     return not run_round(s, inputs, keys=keys).mismatch
 
 
@@ -363,17 +366,17 @@ def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
     If the q**(N*n + seeds) assignments of inputs and seeds are at most cap,
     each runs exactly once; each column of a width-w block is an independent
     round, so that is exhaustive for every width.  They run as one batched
-    round per chunk of at most _CHUNK_COLUMNS = 2**17 columns (see
-    _assignments), so memory stays bounded: the 5**10 states of A on
-    cyclic(3,2) run in chunks of 5**7 and peak at about 3 MiB.  Otherwise
-    samples * width random int64 columns are drawn.  Either way each round
-    gathers the keys of unit key-map columns from their seed rows (see
-    derive_user_keys), and the columns enter the round in the narrowest
-    signed dtype that holds (q - 1)**2; each kernel widens on its own to a
-    dtype that holds its bound, so the verdict is an int64 round's.  The
-    algebraic cancellation certificate is asserted in both modes, and
-    `passed` is the conjunction, so a disagreement between simulation and
-    certificate can only surface as a failure.
+    round per chunk of at most _CHUNK_COLUMNS = 2**17 columns, rewritten in
+    one buffer (see _assignments), so memory stays bounded.  The seeds are
+    the lowest digits: if a chunk spans all their values, every chunk holds
+    the same seed rows and the keys are derived once, else once per chunk.
+    Otherwise samples * width random int64 columns are drawn.  Unit key-map
+    columns are gathered (see derive_user_keys), and the columns enter the
+    round in the narrowest signed dtype that holds (q - 1)**2; each kernel
+    widens on its own to a dtype that holds its bound, so the verdict is an
+    int64 round's.  The algebraic cancellation certificate is asserted in
+    both modes, and `passed` is the conjunction, so a disagreement between
+    simulation and certificate can only surface as a failure.
 
     Raises:
         InvalidArgument: if width < 1 or samples < 1.
@@ -387,12 +390,16 @@ def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
     dtype = gf._narrowest((q - 1) ** 2)
     if (states := q ** n_vars) <= cap:
         mode, count = "exhaustive", {"states": states}
-        sim_ok = all(_simulate_columns(s, chunk) for chunk in _assignments(q, n_vars, dtype))
+        chunks = _assignments(q, n_vars, dtype)
+        first = next(chunks)
+        # the seeds are the lowest digits: if a chunk spans them, all chunks share their keys
+        keys = (derive_user_keys(s, FieldMatrix._wrap(s.field, first[n_vars - s.seed_count:]))
+                if first.shape[1] >= q ** s.seed_count else None)
+        sim_ok = all(_simulate_columns(s, c, keys) for c in itertools.chain([first], chunks))
     else:
         mode, count = "sampled", {"samples": samples}
-        rng = np.random.default_rng(seed)
-        sim_ok = _simulate_columns(s, s.field.rand(rng, (n_vars, samples * width))
-                                   .astype(dtype, copy=False))
+        columns = s.field.rand(np.random.default_rng(seed), (n_vars, samples * width))
+        sim_ok = _simulate_columns(s, columns.astype(dtype, copy=False))
     return Decodability(mode, sim_ok and link_key_constraint_ok(s), **count)
 
 
@@ -401,7 +408,9 @@ def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
 
 def _pattern_sizes(top, t_h: int, t_u: int, all_sizes: bool):
     """(relay sizes, user sizes) of the patterns a sweep covers; a budget past
-    the network's K relays or N users covers all of them."""
+    the network's K relays or N users covers all of them.  Raises InvalidArgument below 0."""
+    if t_h < 0 or t_u < 0:
+        raise InvalidArgument(f"collusion budgets must be at least 0, got t_h={t_h}, t_u={t_u}")
     t_h, t_u = min(t_h, top.K), min(t_u, top.N)
     return (range(t_h + 1), range(t_u + 1)) if all_sizes else ((t_h,), (t_u,))
 
@@ -620,9 +629,9 @@ class ConverseChecks:
 
 
 def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> ConverseChecks:
-    """Enumerate H(link key | other users' keys) for every link, and the
-    per-user key entropy sum, over the key-seed space: for one block column,
-    times width, as in mi_oracle, on the seed parts of Scheme.stack_rows.
+    """Enumerate H(link key | other users' keys) for every link, folding the other users' keys
+    once per user, and the per-user key entropy sum, over the key-seed space: for one block
+    column, times width, as in mi_oracle, on the seed parts of Scheme.stack_rows.
 
     Raises:
         InvalidArgument: if width < 1.
@@ -634,10 +643,11 @@ def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> Convers
     seed_rows = s.stack_rows[:, :s.seed_count]
     per_link: dict[tuple[int, int], Fraction] = {}
     for i in range(1, top.N + 1):
-        others = seed_rows[np.delete(key_rows[1:], i - 1, axis=0).ravel()]
+        others, states = _given(seed_rows[np.delete(key_rows[1:], i - 1, axis=0).ravel()], q)
+        h_others = _entropy_sum(others, q, states)
         for j in top.user_links[i - 1]:
-            target = seed_rows[[s.link_index(i, j)]]
-            per_link[(i, j)] = width * _cond_entropy(target, others, q)
+            link = _fold(others, seed_rows[[s.link_index(i, j)]], q)
+            per_link[(i, j)] = width * Fraction(h_others - _entropy_sum(link, q, states), states)
 
     total = sum((width * _cond_entropy(seed_rows[key_rows[i]], seed_rows[:0], q)
                  for i in range(1, top.N + 1)), Fraction(0))

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from hsa_lab import gf, verify
 from hsa_lab.errors import InvalidArgument, TooLargeToEnumerate
 from hsa_lab.gf import FieldMatrix, PrimeField
-from hsa_lab.schemes import Scheme, build_scheme_a, build_scheme_b, build_scheme_c
+from hsa_lab.schemes import (Scheme, build_scheme_a, build_scheme_b, build_scheme_c,
+                             derive_user_keys)
 from hsa_lab.topology import build_cyclic, build_multiple_cyclic, build_tree
 from hsa_lab.verify import (
     CollusionPattern,
@@ -266,11 +267,16 @@ def test_oracle_agrees_with_rank_both_ways():
 @pytest.mark.parametrize("q, n_vars", [(2, 0), (5, 0), (3, 1), (2, 5), (3, 11), (7, 7),
                                        (2, 17), (257, 2)])
 def test_assignments_are_the_row_major_enumeration(q, n_vars):
-    chunks = list(_assignments(q, n_vars, np.int64))
+    # every chunk is the one reused buffer, valid until the next is drawn: copy each
+    chunks, copies = [], []
+    for chunk in _assignments(q, n_vars, np.int64):
+        chunks.append(chunk)
+        copies.append(chunk.copy())
+    assert all(np.shares_memory(a, b) for a, b in zip(chunks, chunks[1:]))
     assert all(chunk.shape[0] == n_vars and 1 <= chunk.shape[1] <= verify._CHUNK_COLUMNS
-               for chunk in chunks)
+               for chunk in copies)
     assert all(chunk.flags.c_contiguous for chunk in chunks)
-    assert np.array_equal(np.hstack(chunks).T, _all_states(q, n_vars))
+    assert np.array_equal(np.hstack(copies).T, _all_states(q, n_vars))
 
 
 def test_an_exhaustive_decode_runs_in_bounded_memory():
@@ -285,6 +291,45 @@ def test_an_exhaustive_decode_runs_in_bounded_memory():
         tracemalloc.stop()
     assert deco == Decodability("exhaustive", True, states=5**10)
     assert peak < 8 * 2**20
+
+
+def tampered_encoder(scheme):
+    """User 1's first encoder entry off by one: the decode fails exactly where user 1's input,
+    the highest digits of the enumeration, is nonzero (A's key spreads ignore the encoders)."""
+    enc = scheme.encoders[0].a.copy()
+    enc[0, 0] = (enc[0, 0] + 1) % scheme.field.q
+    return dataclasses.replace(scheme, encoders=(FieldMatrix(scheme.field, enc),)
+                               + scheme.encoders[1:])
+
+
+@pytest.mark.parametrize("chunk, derivations", [(3**2, 1), (3, 3**4)])
+def test_a_chunked_decode_derives_its_keys_once_iff_a_chunk_spans_the_seeds(
+        monkeypatch, chunk, derivations):
+    # A on cyclic(3,1), q=3: 3 inputs, then 2 seeds as the lowest digits, 3**5 states in one
+    # chunk by default.  Chunks of 3**2 columns span both seeds and share one derivation of the
+    # keys; chunks of 3 columns do not, and each of the 3**4 chunks derives its own.
+    good = build_scheme_a(build_cyclic(3, 1), F3, seed=0)
+    bad = tampered_encoder(good)
+    assert (good.topology.N * good.topology.n, good.seed_count) == (3, 2)
+    single = [check_decodability(s) for s in (good, bad)]
+    assert [d.passed for d in single] == [True, False]
+    monkeypatch.setattr(verify, "_CHUNK_COLUMNS", chunk)
+    chunks = _assignments(3, 5, np.int8)
+    assert verify._simulate_columns(bad, next(chunks))  # the failure is past the first chunk
+    assert not all(verify._simulate_columns(bad, c) for c in chunks)
+    calls = []
+
+    def counting(s, seeds):
+        calls.append(seeds.cols)
+        return derive_user_keys(s, seeds)
+
+    monkeypatch.setattr(verify, "derive_user_keys", counting)
+    assert check_decodability(good) == single[0]
+    assert calls == [chunk] * derivations
+    calls.clear()
+    assert check_decodability(bad) == single[1]
+    # it stops at the chunk where user 1's input first is 1, at state 3**4
+    assert calls == [chunk] * (1 if derivations == 1 else 3**4 // chunk + 1)
 
 
 def test_decodability_exhaustive_small():
@@ -457,6 +502,18 @@ def test_sweep_rejects_an_empty_budget(kwargs):
     # a zero budget would check nothing and still report all_passed
     with pytest.raises(InvalidArgument):
         sweep_security(example_scheme(), 1, 1, **kwargs)
+
+
+@pytest.mark.parametrize("all_sizes", [True, False])
+@pytest.mark.parametrize("t_h, t_u", [(-1, 1), (1, -1), (-2, -2)])
+def test_a_negative_collusion_budget_is_rejected(all_sizes, t_h, t_u):
+    # it used to check 0 patterns and read all_passed, or raise a bare ValueError from math.comb
+    s = example_scheme(5)
+    for call in (lambda: sweep_security(s, t_h, t_u, all_sizes=all_sizes),
+                 lambda: count_patterns(s.topology, t_h, t_u, all_sizes),
+                 lambda: list(iter_patterns(s.topology, t_h, t_u, all_sizes))):
+        with pytest.raises(InvalidArgument):
+            call()
 
 
 def test_sweep_budget_subsampling_is_deterministic():
@@ -802,6 +859,61 @@ def test_mi_oracle_matches_reference(grid, key_map, data):
     assert res.mi_value == expected and res.is_zero is (expected == 0)
     assert res.states == q ** ((k + s.seed_count) * width)
     assert res == full_grid_mi_oracle(s, pat, width=width)
+
+
+def division_loop_entropy_sum(image, q, total):
+    """_entropy_sum's exponents as first written: divide every count by q until it is 1."""
+    ranks, n = image
+    counts = np.bincount(ranks.ravel(), minlength=n)
+    exps, rest = np.zeros(n, dtype=np.int64), counts.copy()
+    while (divisible := (rest > 1) & (rest % q == 0)).any():
+        rest[divisible] //= q
+        exps[divisible] += 1
+    if (rest != 1).any():
+        raise InvalidArgument(f"class count {int(counts[rest != 1][0])} is not a power of {q}")
+    free = ranks.shape.count(1)
+    return q**free * int(counts @ exps) + total * free
+
+
+@pytest.mark.parametrize("q", [65537, 2**31 - 1])
+def test_entropy_sum_matches_the_division_loop(q):
+    # a class of q**e cells needs q**e entries, so counts past q fit in memory for neither q,
+    # and at 2**31 - 1 only counts of 1 do; two length-1 axes are free variables
+    rng = np.random.default_rng(q % 1000)
+    exps = [0, 1, 0, 1, 1] if q < 2**20 else [0, 0, 0]
+    ranks = rng.permutation(np.repeat(np.arange(len(exps)), [q ** e for e in exps]))
+    image = (ranks.reshape(-1, 1, 1), len(exps))
+    total = len(ranks) * q**2
+    assert verify._entropy_sum(image, q, total) == division_loop_entropy_sum(image, q, total)
+    for bad in (2, 3, q - 1, q + 1):
+        if bad > 2**17:
+            continue
+        image = (np.repeat(np.arange(2), [1, bad]), 2)
+        with pytest.raises(InvalidArgument, match=f"class count {bad} is not a power"):
+            verify._entropy_sum(image, q, bad + 1)
+        with pytest.raises(InvalidArgument, match=f"class count {bad} is not a power"):
+            division_loop_entropy_sum(image, q, bad + 1)
+
+
+# primes where the sum of a row's terms needs a wider dtype than one term (23: 6 terms of 22,
+# 47: 3 of 46, 67: 2 of 66) or a term itself passes int8 or int16 (131, 257, 32749, 65537)
+ROW_PRIMES = [2, 3, 5, 13, 23, 43, 47, 67, 131, 257, 32749, 65537]
+
+
+def test_row_symbols_are_the_row_times_every_state():
+    rng = np.random.default_rng(7)
+    for q in ROW_PRIMES:
+        for size in itertools.takewhile(lambda k: q ** k <= 2**18, range(1, 7)):
+            n_vars = size + int(rng.integers(0, 3))
+            support = np.sort(rng.choice(n_vars, size, replace=False))
+            for coeffs in (rng.integers(1, q, size), np.full(size, q - 1)):
+                row = np.zeros(n_vars, dtype=np.int64)
+                row[support] = coeffs
+                sym = verify._row_symbols(row, q, n_vars)
+                assert sym.dtype.kind == "i", (q, size)
+                assert sym.shape == tuple(q if v in support else 1 for v in range(n_vars))
+                expected = _all_states(q, size) @ row[support] % q
+                assert np.array_equal(sym.reshape(-1), expected), (q, row)
 
 
 def test_engine_matches_reference_on_a_leak_and_random_maps():
