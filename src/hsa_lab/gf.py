@@ -124,7 +124,8 @@ class FieldMatrix:
 
     @classmethod
     def _wrap(cls, field: PrimeField, arr: np.ndarray) -> "FieldMatrix":
-        """No-copy constructor: arr is 2-d signed integer, reduced mod q, never written again."""
+        """No-copy constructor: arr is 2-d signed integer and reduced mod q, and is not written
+        while the wrapper is in use; it may be a view of a buffer whose other rows are."""
         arr.flags.writeable = False
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)

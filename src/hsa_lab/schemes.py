@@ -65,8 +65,9 @@ class Scheme:
     matrix of variant BL, None for variant A.  link_keys (seeds x N*n) is
     derived and never serialized, as are the gather tables stack_rows, whose
     first N*n rows are the coefficients of every wire message that the
-    adversary view and the rank route gather, stack_supports, stack_index
-    and key_gather.
+    adversary view and the rank route gather, stack_supports and stack_index,
+    and key_gather, the plan by which derive_user_keys reads a user's keys in
+    place from the seeds or takes them from one product.
     """
 
     variant: str
@@ -152,16 +153,19 @@ class Scheme:
         return rows, users, keys
 
     @cached_property
-    def key_gather(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """derive_user_keys' split of key_map's columns: the unit columns (one
-        nonzero, equal to 1) and the seed row each copies, then the other
-        columns and, read-only, their transposed key map."""
-        a = self.key_map.a
+    def key_gather(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """derive_user_keys' plan, per user: the first of the keys_per_user
+        consecutive seed rows, in order, that its key_map block copies through
+        unit columns (one nonzero, equal to 1), or -1; then, read-only, the
+        transposed key map of the users with -1."""
+        a, k = self.key_map.a, self.keys_per_user
         unit = ((a != 0).sum(axis=0) == 1) & ((a == 1).sum(axis=0) == 1)
-        rest_map = a[:, ~unit].T
+        rows = np.where(unit, a.argmax(axis=0), -1).reshape(-1, k)  # -1: not a unit column
+        in_place = (rows[:, 0] >= 0) & (np.diff(rows, axis=1) == 1).all(axis=1)
+        starts = tuple(np.where(in_place, rows[:, 0], -1).tolist())
+        rest_map = a.T.reshape(-1, k, a.shape[0])[~in_place].reshape(-1, a.shape[0])
         rest_map.flags.writeable = False
-        return (np.flatnonzero(unit), np.nonzero(a[:, unit].T)[1], np.flatnonzero(~unit),
-                rest_map)
+        return starts, rest_map
 
     def to_dict(self) -> dict:
         return {
@@ -517,20 +521,19 @@ def derive_user_keys(s: Scheme, seeds: FieldMatrix) -> KeyMaterial:
     """Every user's keys from explicit seed columns: user i's are the i-th block of
     keys_per_user rows of key_map^T @ seeds, user_key_map(i)^T @ seeds.
 
-    A key whose key_map column is a unit column is a copy of one seed row, so
-    those rows are gathered (Scheme.key_gather); the other columns, if any,
-    go through one product.  Variant A's keys of users 1..N-1 are all such
-    copies.  The keys take the product's dtype, never narrower than the seeds'."""
+    A user whose key_map block copies consecutive seed rows in order (see
+    Scheme.key_gather) gets that slice of seeds.a as its keys, read in place,
+    no copy, in the seeds' dtype: every key of variant A's and of
+    build_scheme_c's users 1..N-1.  The other users' keys are their rows of
+    one product, in its dtype."""
     if seeds.field != s.field:
         raise ShapeError("seeds live in another field")
     if seeds.rows != s.seed_count:
         raise ShapeError(f"expected {s.seed_count} seed rows, got {seeds.rows}")
-    unit, rows, rest, rest_map = s.key_gather
-    product = gf._matmul(s.field.q, (rest_map, seeds.a))
-    keys = np.empty((s.key_map.cols, seeds.cols), dtype=product.dtype)
-    keys[unit], keys[rest] = seeds.a[rows], product
-    per_user = tuple(FieldMatrix._wrap(s.field, z)
-                     for z in keys.reshape(s.topology.N, s.keys_per_user, seeds.cols))
+    (starts, rest_map), k = s.key_gather, s.keys_per_user
+    rest = iter(gf._matmul(s.field.q, (rest_map, seeds.a)).reshape(-1, k, seeds.cols))
+    per_user = tuple(FieldMatrix._wrap(s.field, seeds.a[r:r + k] if r >= 0 else next(rest))
+                     for r in starts)
     return KeyMaterial(seeds=seeds, per_user=per_user)
 
 

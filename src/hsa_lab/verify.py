@@ -39,7 +39,7 @@ from .schemes import KeyMaterial, Scheme, derive_user_keys, link_key_constraint_
 
 _CHUNK_COLUMNS = 1 << 17
 _DRAW_BLOCK = 4096  # reservoir replacement indices drawn per call
-_BLOCK_ENTRIES = 1 << 17  # stack entries per rank-kernel block, at most
+_BLOCK_ENTRIES = 1 << 17  # entries a sweep block's peel, or a rank-kernel chunk, holds at most
 _WALK_LIMIT = 1 << 32  # patterns a sweep walks, at most
 
 
@@ -114,7 +114,8 @@ def _peel(idx: np.ndarray, supports: np.ndarray, zero: int):
 
 def _leaks(s: Scheme, relays: np.ndarray, users: np.ndarray) -> np.ndarray:
     """rank_leak of each pattern of a block: relays and users are (B, size)
-    arrays of in-range 1-based ids, one pattern per row, of one size."""
+    arrays of in-range 1-based ids, one pattern per row, of one size.  Only the
+    peel's survivors are eliminated, in chunks of at most _BLOCK_ENTRIES entries."""
     relay_rows, relay_users, key_rows = s.stack_index
     zero = len(s.stack_rows) - 1
     seen = relay_rows[relays]
@@ -125,12 +126,15 @@ def _leaks(s: Scheme, relays: np.ndarray, users: np.ndarray) -> np.ndarray:
     _peel(idx, s.stack_supports[idx], zero)
     live = (idx != zero).sum(axis=1)
     leaks = np.zeros(len(idx), dtype=np.int64)
-    if (todo := np.flatnonzero(live)).size:
-        idx = idx[todo]
-        seed_ranks = gf._lockstep_ranks(s.stack_rows[:, :s.seed_count][idx], s.field.q)
-        if (short := seed_ranks < live[todo]).any():  # else each seed block has full row rank
-            leaks[todo[short]] = (gf._lockstep_ranks(s.stack_rows[idx[short]], s.field.q)
-                                  - seed_ranks[short])
+    todo = np.flatnonzero(live)
+    step = max(1, _BLOCK_ENTRIES // max(1, idx.shape[1] * s.stack_rows.shape[1]))
+    for start in range(0, todo.size, step):
+        chunk = todo[start:start + step]
+        stacks = idx[chunk]
+        seed_ranks = gf._lockstep_ranks(s.stack_rows[:, :s.seed_count][stacks], s.field.q)
+        if (short := seed_ranks < live[chunk]).any():  # else each seed block has full row rank
+            leaks[chunk[short]] = (gf._lockstep_ranks(s.stack_rows[stacks[short]], s.field.q)
+                                   - seed_ranks[short])
     return leaks
 
 
@@ -370,13 +374,15 @@ def check_decodability(s: Scheme, samples: int = 10_000, width: int = 1,
     one buffer (see _assignments), so memory stays bounded.  The seeds are
     the lowest digits: if a chunk spans all their values, every chunk holds
     the same seed rows and the keys are derived once, else once per chunk.
-    Otherwise samples * width random int64 columns are drawn.  Unit key-map
-    columns are gathered (see derive_user_keys), and the columns enter the
-    round in the narrowest signed dtype that holds (q - 1)**2; each kernel
-    widens on its own to a dtype that holds its bound, so the verdict is an
-    int64 round's.  The algebraic cancellation certificate is asserted in
-    both modes, and `passed` is the conjunction, so a disagreement between
-    simulation and certificate can only surface as a failure.
+    Keys read in place (see derive_user_keys) are views of the buffer: of its
+    low rows, written once, when derived once; else of the chunk's own seed
+    rows.  Otherwise samples * width random int64 columns are drawn.  The
+    columns enter the round in the narrowest signed dtype that holds
+    (q - 1)**2; each kernel widens on its own to a dtype that holds its
+    bound, so the verdict is an int64 round's.  The algebraic cancellation
+    certificate is asserted in both modes, and `passed` is the conjunction,
+    so a disagreement between simulation and certificate can only surface
+    as a failure.
 
     Raises:
         InvalidArgument: if width < 1 or samples < 1.
@@ -542,7 +548,9 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
     oracle run past oracle_cap gives no verdict and counts as skipped,
     never as passed.  If the grid of the whole block width is past the cap,
     the oracle is not called, and the rank route checks the patterns in
-    blocks of bounded size (see rank_leak) without building them; where the
+    blocks (see rank_leak) without building them: a block is sized by the
+    support words its gather and peel hold, and _leaks eliminates the
+    patterns the peel leaves in chunks of bounded size; where the
     oracle runs, each pattern is built and checked by check_security_rank
     and mi_oracle.  A pattern the routes decide differently is a
     disagreement in both; first_failure is the first failing pattern of
@@ -570,7 +578,8 @@ def sweep_security(s: Scheme, t_h: int, t_u: int, budget: int = 100_000,
         run_oracle = False
     indices = _sample(total, budget, seed) if total > budget else np.arange(total)
     max_rows = min(t_h, top.K) * s.stack_index[0].shape[1] + min(t_u, top.N) * s.keys_per_user
-    block = max(1, _BLOCK_ENTRIES // max(1, max_rows * s.stack_rows.shape[1]))
+    # a block's gather and peel hold about four words of supports per row of each pattern
+    block = max(1, _BLOCK_ENTRIES // max(1, 4 * max_rows * s.stack_supports.shape[1]))
     verdicts = np.full((2, len(indices)), -1, dtype=np.int8)  # 1 passed, 0 failed, -1 none
     for places, relays, users in _pattern_blocks(top, t_h, t_u, all_sizes, indices, block):
         if not run_oracle:

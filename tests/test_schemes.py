@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -380,7 +381,12 @@ def test_gathered_keys_equal_the_per_user_products(data, mix, q, weighted, seed_
             km[:, c] = data.draw(st.lists(st.integers(1, q - 1), min_size=seed_count,
                                           max_size=seed_count))
     s = dataclasses.replace(base, key_map=FieldMatrix(field, km))
-    assert s.key_gather[0].tolist() == [c for c, kind in enumerate(kinds) if kind == "unit"]
+    # a user reads its keys in place iff its block copies consecutive seed rows, in order
+    k = s.keys_per_user
+    copied = [int(km[:, c].argmax()) if kind == "unit" else None for c, kind in enumerate(kinds)]
+    assert s.key_gather[0] == tuple(
+        b[0] if None not in b and b == list(range(b[0], b[0] + k)) else -1
+        for b in (copied[c:c + k] for c in range(0, cols, k)))
     top = min(q - 1, int(np.iinfo(dt).max))
     seeds = FieldMatrix._wrap(field, np.array(
         data.draw(st.lists(st.lists(st.integers(0, top), min_size=width, max_size=width),
@@ -388,6 +394,41 @@ def test_gathered_keys_equal_the_per_user_products(data, mix, q, weighted, seed_
     keys = derive_user_keys(s, seeds)
     assert keys.seeds is seeds
     assert keys.per_user == tuple(s.user_key_map(i).T @ seeds for i in range(1, s.topology.N + 1))
+
+
+def test_keys_of_users_1_to_n_minus_1_are_read_in_place():
+    # A's and C's users 1..N-1 copy consecutive seed rows in order, so their keys are
+    # views of the seeds; user N's, and every key of B, are rows of the one product
+    for s, shared in ((build_scheme_a(build_cyclic(12, 3), PrimeField(65537), seed=0), 11),
+                      (build_scheme_c(5, F7), 4), (build_scheme_b(build_cyclic(6, 2), F13, 2), 0)):
+        keys = sample_keys(s, width=3, seed=1)
+        assert [np.shares_memory(z.a, keys.seeds.a) for z in keys.per_user] == \
+            [True] * shared + [False] * (s.topology.N - shared)
+    # at q=5 with 2 seeds, only user 1's unit block runs 0, 1 in order: user 2's runs
+    # backwards, and a two-row slice from user 3's first row, the last seed row, would run
+    # past the seeds, so both take the product
+    base = build_scheme_a(build_cyclic(3, 2), F5, decode_matrix=FieldMatrix(F5, EXAMPLE_D))
+    s = dataclasses.replace(base, key_map=FieldMatrix(F5, [[1, 0, 0, 1, 0, 0], [0, 1, 1, 0, 1, 1]]))
+    assert s.key_gather[0] == (0, -1, -1)
+    seeds = FieldMatrix(F5, [[1, 2], [3, 4]])
+    keys = derive_user_keys(s, seeds)
+    assert [np.shares_memory(z.a, seeds.a) for z in keys.per_user] == [True, False, False]
+    assert keys.per_user == tuple(s.user_key_map(i).T @ seeds for i in (1, 2, 3))
+
+
+def test_deriving_the_keys_of_a_peaks_below_one_mib():
+    # 33 of A's 36 key rows on cyclic(12,3) are views of the seeds; only user N's 3 rows
+    # are computed, where a copy of every key row would peak at about 5.5 MiB
+    s = build_scheme_a(build_cyclic(12, 3), PrimeField(65537), seed=0)
+    seeds = FieldMatrix(s.field, s.field.rand(np.random.default_rng(0), (s.seed_count, 10_000)))
+    derive_user_keys(s, seeds)  # the scheme's plan is built and cached
+    tracemalloc.start()
+    try:
+        derive_user_keys(s, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_scheme_serialization_roundtrip():

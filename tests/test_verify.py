@@ -628,6 +628,22 @@ def test_a_full_sweep_streams_in_bounded_memory():
     assert peak < 4 * 2**20
 
 
+def test_a_sampled_sweep_is_one_block_and_one_elimination(monkeypatch):
+    # the 1,500 sampled patterns of A on cyclic(12,3) at (2,3) are one block: its gather
+    # and peel hold 15 rows of one support word per pattern.  The 68 patterns the peel
+    # leaves are one elimination chunk, and each seed block has full row rank
+    s = build_scheme_a(build_cyclic(12, 3), PrimeField(65537), seed=0)
+    calls = dict.fromkeys(("_unrank", "_lockstep_ranks"), 0)
+    for module, name in ((verify, "_unrank"), (gf, "_lockstep_ranks")):
+        def counting(*args, _name=name, _kernel=getattr(module, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(module, name, counting)
+    rank, _ = sweep_security(s, 2, 3, budget=1500, seed=0)
+    assert (rank.checked, rank.passed, rank.subsampled) == (1500, 1500, True)
+    assert calls == {"_unrank": 2, "_lockstep_ranks": 1}
+
+
 def test_sweep_oracle_and_both():
     s = example_scheme()
     for rep in sweep_security(s, 1, 1, all_sizes=True, oracle_cap=10**6):
@@ -1133,13 +1149,17 @@ def test_block_leaks_match_four_rank_formula():
 
 @pytest.mark.parametrize("budget", [1000, 40])
 def test_sweep_tallies_the_four_rank_leaks_across_blocks(monkeypatch, budget):
-    # blocks of one pattern: the rank report counts the same failures and
-    # names the same first failure as a per-pattern walk of the four ranks
-    monkeypatch.setattr(verify, "_BLOCK_ENTRIES", 1)
+    # at 1 entry, blocks of one pattern; at 480, blocks of up to 20 patterns whose
+    # survivors of the peel are eliminated in chunks of at most 5 six-row stacks: the
+    # rank report counts the same failures and names the same first failure as a
+    # per-pattern walk of the four ranks
     s = tampered(build_scheme_c(5, F7))
-    rank, _ = sweep_security(s, 2, 2, budget=budget, all_sizes=True, oracle_cap=10, seed=1)
-    patterns = (sampled_patterns(s.topology, 2, 2, True, budget, 1) if rank.subsampled
+    patterns = (sampled_patterns(s.topology, 2, 2, True, budget, 1)
+                if count_patterns(s.topology, 2, 2, True) > budget
                 else list(iter_patterns(s.topology, 2, 2, True)))
     failing = [p for p in patterns if four_rank_leak(*oracle_maps(s, p, 1), s.field.q)]
-    assert (rank.checked, rank.failed) == (len(patterns), len(failing)) and failing
-    assert rank.first_failure == failing[0]
+    for entries in (1, 480):
+        monkeypatch.setattr(verify, "_BLOCK_ENTRIES", entries)
+        rank, _ = sweep_security(s, 2, 2, budget=budget, all_sizes=True, oracle_cap=10, seed=1)
+        assert (rank.checked, rank.failed) == (len(patterns), len(failing)) and failing
+        assert rank.first_failure == failing[0]
