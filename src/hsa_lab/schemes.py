@@ -64,10 +64,11 @@ class Scheme:
     variant A and 1 for variant BL.  key_weights is the N x K link weight
     matrix of variant BL, None for variant A.  link_keys (seeds x N*n) is
     derived and never serialized, as are the gather tables stack_rows, whose
-    first N*n rows are the coefficients of every wire message that the
-    adversary view and the rank route gather, stack_supports and stack_index,
+    first N*n rows are the coefficients of every wire message that the view,
+    the oracle and the rank route gather, stack_supports and stack_index, the
+    oracle's memo stack_symbols, whose symbols stay held while the scheme lives,
     and key_gather, the plan by which derive_user_keys reads a user's keys in
-    place from the seeds or takes them from one product.
+    place or takes them from one product.
     """
 
     variant: str
@@ -137,6 +138,12 @@ class Scheme:
         bits = np.packbits(self.stack_rows[:, :self.seed_count] != 0, axis=1, bitorder="little")
         pad = -bits.shape[1] % 8
         return np.pad(bits, ((0, 0), (0, pad))).view(np.uint64)
+
+    @cached_property
+    def stack_symbols(self) -> dict:
+        """stack_rows symbols, filled as first needed by verify._stack_symbol; entries are
+        never replaced, and they stay for the scheme's lifetime."""
+        return {}
 
     @cached_property
     def stack_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

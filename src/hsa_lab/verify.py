@@ -11,14 +11,15 @@ Two independent routes are provided for every security question:
 The oracle exists to check the algebra, so it never calls into the rank
 path; agreement between the two is itself a tested property.  A known
 input symbol is a unit row: conditioning on it only shifts the other maps
-by a known constant, so by independence its column leaves the grid.  Each
-output symbol is evaluated only over its row's support, and a map's count
-over all states is its count there times q per variable outside it.
-Neither step needs elimination.  The rank route reduces the same quotient
-by the known inputs, for a block of same-size patterns at once; rank_leak
-explains its gather, peel and lockstep elimination.  A sweep walks pattern
-indices: it draws its subsample over them and unranks only the patterns
-it checks, and it refuses more than _WALK_LIMIT patterns before it walks.
+by a known constant, so by independence its column is a free axis of the
+grid.  Each output symbol is evaluated over its row's support alone, once
+per scheme for a stack row, and a map's count over all states is its count
+there times q per variable outside it.  Neither step needs elimination.
+The rank route reduces the same quotient by the known inputs, for a block
+of same-size patterns at once; rank_leak explains its gather, peel and
+lockstep elimination.  A sweep walks pattern indices: it draws its
+subsample over them and unranks only the patterns it checks, and it
+refuses more than _WALK_LIMIT patterns before it walks.
 """
 
 from __future__ import annotations
@@ -213,7 +214,7 @@ def _dense_ranks(keys: np.ndarray, size: int) -> tuple[np.ndarray, int]:
 def _row_symbols(row: np.ndarray, q: int, n_vars: int) -> np.ndarray:
     """row . s mod q on the grid, as an outer sum over the row's support only, reduced once."""
     support = np.flatnonzero(row)
-    dtype = gf._narrowest(len(support) * q)  # holds q and the sum (_fold skips zero rows)
+    dtype = gf._narrowest(max(len(support), 1) * q)  # holds q and the sum, for any support
     table = (row[support, None] * np.arange(q) % q).astype(dtype)
     sym = np.zeros((1,) * n_vars, dtype=dtype)
     for v, terms in zip(support, table):
@@ -221,22 +222,39 @@ def _row_symbols(row: np.ndarray, q: int, n_vars: int) -> np.ndarray:
     return sym % dtype.type(q)
 
 
-def _fold(image: tuple[np.ndarray, int], mat: np.ndarray, q: int) -> tuple[np.ndarray, int]:
-    """Image of the joint map (image, mat . s).
+def _stack_symbol(s: Scheme, key: tuple[int, bool]) -> np.ndarray:
+    """A symbol of Scheme.stack_rows, kept in Scheme.stack_symbols: key (row, True) is its seed
+    part on the seeds, a grid's leading axes, and (row, False) all of it on (seeds, inputs)."""
+    if key not in s.stack_symbols:
+        row = s.stack_rows[key[0]][:s.seed_count if key[1] else None]
+        s.stack_symbols[key] = _row_symbols(row, s.field.q, len(row))
+    return s.stack_symbols[key]
 
-    Each row's symbol is appended to the keys as one more base-q digit.  The
-    keys are densified first whenever the digit would take their range past
-    the grid size: after that a linear image either has one cell per class,
-    so the row cannot split any class, or at most grid/q classes.
+
+def _fold_stack(s: Scheme, image, rows, whole=()) -> tuple[np.ndarray, int]:
+    """_fold of Scheme.stack_rows from the memo: all of each row in whole, else its seed part."""
+    keys = [(row, row not in whole) for row in np.ravel(rows).tolist()]
+    return _fold(image, keys, s.field.q, lambda key: _stack_symbol(s, key))
+
+
+def _fold(image: tuple[np.ndarray, int], rows, q: int, symbols=None) -> tuple[np.ndarray, int]:
+    """Image of the joint map (image, the rows' symbols).
+
+    symbols(row), asked for once the rows fit int64 keys, is a row's symbol
+    on the grid or its leading axes (by default the rows are a matrix's).
+    It is appended to the keys as one more base-q digit, after densifying
+    them if the digit would take their range past the grid size: then a
+    linear image has one cell per class, which no row splits, or grid/q.
     """
-    if q ** mat.shape[0] > 2**62:
-        raise TooLargeToEnumerate(f"image of {mat.shape[0]} symbols over F_{q} cannot be keyed")
+    if q ** len(rows) > 2**62:
+        raise TooLargeToEnumerate(f"image of {len(rows)} symbols over F_{q} cannot be keyed")
     keys, n = image
-    for row in mat % q:
-        if not row.any():
+    symbols = symbols or (lambda row, n_vars=keys.ndim: _row_symbols(row % q, q, n_vars))
+    for row in rows:
+        if (sym := symbols(row)).size == 1:  # a zero row's: constant
             continue
-        sym = _row_symbols(row, q, keys.ndim)
-        cells = math.prod(map(max, zip(keys.shape, sym.shape)))
+        sym = sym.reshape(sym.shape + (1,) * (keys.ndim - sym.ndim))
+        cells = math.prod(np.broadcast_shapes(keys.shape, sym.shape))
         if n * q > cells:
             keys, n = _dense_ranks(keys, n)
             if n == cells:  # every class is one cell of the grid: nothing to split
@@ -265,15 +283,14 @@ def _entropy_sum(image: tuple[np.ndarray, int], q: int, total: int) -> int:
     return q**free * int(counts @ exps) + total * free
 
 
-def _given(b_mat: np.ndarray, q: int) -> tuple[tuple[np.ndarray, int], int]:
-    """(image of B.s, q**cols) for s uniform over b_mat's columns."""
-    n_vars = b_mat.shape[1]
-    return _fold((np.zeros((1,) * n_vars, dtype=np.int64), 1), b_mat, q), q ** n_vars
+def _no_image(n_vars: int) -> tuple[np.ndarray, int]:
+    """The image of no map on a grid of n_vars variables: one class."""
+    return np.zeros((1,) * n_vars, dtype=np.int64), 1
 
 
 def _cond_entropy(a_mat: np.ndarray, b_mat: np.ndarray, q: int) -> Fraction:
     """H(A.s | B.s) in log_q units, s uniform over the maps' columns."""
-    given, total = _given(b_mat, q)
+    given, total = _fold(_no_image(b_mat.shape[1]), b_mat, q), q ** b_mat.shape[1]
     return Fraction(_entropy_sum(given, q, total)
                     - _entropy_sum(_fold(given, a_mat, q), q, total), total)
 
@@ -296,28 +313,32 @@ def mi_oracle(s: Scheme, p: CollusionPattern, width: int = 1,
 
     Returns I(U; V | C) exactly (log_q units), for U the inputs, V the view
     and C the colluders' inputs and keys.  A known input is a unit row that
-    only shifts the other maps by a known constant, so its column leaves the
-    grid: on the seeds and the free users' inputs, with K the colluders' key
-    rows and V = [V_s | V_free], I = H(V | C) - H(V | U, C) = H(K, V) -
+    only shifts the other maps by a known constant, so its column is a free
+    axis of the grid (seeds, inputs), which scales every count by q and
+    cancels: with K the colluders' key rows and V = [V_s | V_free] (V_free
+    is 0 on their own messages), I = H(V | C) - H(V | U, C) = H(K, V) -
     H(K, V_s), as H(K) cancels.  K is folded once and two joint images are
     counted, for one block column, times width: a width-w block is w copies
     of the width-1 maps on disjoint variables.  The cap and `states` cover
-    every input and seed of the whole block.  V and K are Scheme.stack_rows.
+    every input and seed of the whole block.  V and K are Scheme.stack_rows,
+    whose symbols _stack_symbol keeps; a view without rows folds nothing.
 
     Raises:
         InvalidArgument: if width < 1 or p has an id out of range.
         TooLargeToEnumerate: if q**((N*n + seeds) * width) exceeds cap.
     """
     at_least_one(width, "block width")
-    view, top = adversary_view(s, p), s.topology
+    p.validate(s)
     q, states = s.field.q, _oracle_states(s, width, cap)
-    # the view V = [V_s | V_free] without the colluders' input columns, and their key rows K
-    v_s, keys = view.c_r.a, s.stack_rows[s.stack_index[2][list(p.users)].ravel(), :s.seed_count]
-    v_free = view.c_w.a[:, np.repeat(np.bincount(p.users, minlength=top.N + 1)[1:] == 0, top.n)]
-    given, total = _given(np.hstack([keys, np.zeros((len(keys), v_free.shape[1]), np.int64)]), q)
-    h_v, h_vs = (_entropy_sum(_fold(given, np.hstack([v_s, v]), q), q, total)
-                 for v in (v_free, np.zeros_like(v_free)))
-    mi = width * Fraction(h_vs - h_v, total)
+    rows, users = (a[list(p.relays)].ravel().tolist() for a in s.stack_index[:2])
+    view = [row for row, user in zip(rows, users) if user]
+    if not view:
+        return OracleResult(is_zero=True, mi_value=Fraction(0), states=states)
+    n_vars = s.stack_rows.shape[1]
+    given = _fold_stack(s, _no_image(n_vars), s.stack_index[2][list(p.users)])
+    whole = {row for row, user in zip(rows, users) if user not in p.users}  # V_free's rows
+    h_v, h_vs = (_entropy_sum(_fold_stack(s, given, view, w), q, q ** n_vars) for w in (whole, ()))
+    mi = width * Fraction(h_vs - h_v, q ** n_vars)
     return OracleResult(is_zero=(mi == 0), mi_value=mi, states=states)
 
 
@@ -640,7 +661,8 @@ class ConverseChecks:
 def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> ConverseChecks:
     """Enumerate H(link key | other users' keys) for every link, folding the other users' keys
     once per user, and the per-user key entropy sum, over the key-seed space: for one block
-    column, times width, as in mi_oracle, on the seed parts of Scheme.stack_rows.
+    column, times width, as in mi_oracle, on the seed parts of Scheme.stack_rows, whose
+    symbols _stack_symbol keeps: a converse after a sweep evaluates none anew.
 
     Raises:
         InvalidArgument: if width < 1.
@@ -649,17 +671,18 @@ def converse_spot_checks(s: Scheme, width: int = 1, cap: int = 10**8) -> Convers
     at_least_one(width, "block width")
     top, q, key_rows = s.topology, s.field.q, s.stack_index[2]
     _states(q, s.seed_count * width, cap)
-    seed_rows = s.stack_rows[:, :s.seed_count]
+    none, states = _no_image(s.seed_count), q ** s.seed_count
     per_link: dict[tuple[int, int], Fraction] = {}
     for i in range(1, top.N + 1):
-        others, states = _given(seed_rows[np.delete(key_rows[1:], i - 1, axis=0).ravel()], q)
+        others = _fold_stack(s, none, np.delete(key_rows[1:], i - 1, axis=0))
         h_others = _entropy_sum(others, q, states)
         for j in top.user_links[i - 1]:
-            link = _fold(others, seed_rows[[s.link_index(i, j)]], q)
+            link = _fold_stack(s, others, s.link_index(i, j))
             per_link[(i, j)] = width * Fraction(h_others - _entropy_sum(link, q, states), states)
 
-    total = sum((width * _cond_entropy(seed_rows[key_rows[i]], seed_rows[:0], q)
-                 for i in range(1, top.N + 1)), Fraction(0))
+    h_none = _entropy_sum(none, q, states)
+    total = width * Fraction(sum(h_none - _entropy_sum(_fold_stack(s, none, keys), q, states)
+                                 for keys in key_rows[1:]), states)
 
     return ConverseChecks(
         per_link_entropy=per_link,

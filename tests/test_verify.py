@@ -117,9 +117,9 @@ def test_link_rows_match_wire():
 
 
 def test_view_matches_wire():
-    # the oracle reads adversary_view (the rank route gathers Scheme.stack_rows
-    # directly); its rows must be the coefficients of the messages the protocol
-    # actually sends
+    # the oracle and the rank route gather Scheme.stack_rows through stack_index;
+    # adversary_view, the public view, must give the coefficients of the messages
+    # the protocol actually sends
     for s in wire_schemes():
         wire, _ = symbolic_messages(s)
         view = adversary_view(s, CollusionPattern(range(1, s.topology.K + 1), []))
@@ -817,6 +817,108 @@ def test_oracle_stays_off_the_rank_path(monkeypatch):
         with pytest.raises(AssertionError):
             eliminate()
     assert [oracle_values(s) for s in schemes] == expected
+
+
+def counting_row_symbols(monkeypatch):
+    """Count verify._row_symbols calls; the returned list holds the count."""
+    calls, real = [0], verify._row_symbols
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_row_symbols", counting)
+    return calls
+
+
+def test_stack_row_symbols_are_evaluated_once_per_scheme(monkeypatch):
+    # the oracle workload's triangle-A-q3: a sweep used to evaluate 72 row symbols and the
+    # converse 24 more, for a scheme of 13 stack rows
+    s = build_scheme_a(build_cyclic(3, 2), F3, seed=0)
+    calls = counting_row_symbols(monkeypatch)
+    _, oracle = sweep_security(s, 1, 1, all_sizes=True)
+    assert (oracle.checked, oracle.passed) == (16, 16)
+    # at most one evaluation per (row, seed part or whole row)
+    assert calls[0] == len(s.stack_symbols) <= 2 * len(s.stack_rows) == 26
+    swept = calls[0]
+    assert converse_spot_checks(s).all_links_determined
+    assert calls[0] == swept  # the converse folds the seed parts the sweep evaluated
+
+
+def test_the_caps_come_before_any_symbol(monkeypatch):
+    def no_symbols(*args):
+        raise AssertionError("a row symbol was evaluated")
+
+    monkeypatch.setattr(verify, "_row_symbols", no_symbols)
+    s = example_scheme(7)
+    with pytest.raises(AssertionError):  # the patch is live: a fresh scheme evaluates symbols
+        mi_oracle(s, CollusionPattern([1], [1]), cap=10**9)
+    with pytest.raises(TooLargeToEnumerate):
+        mi_oracle(s, CollusionPattern([1], []), cap=10**4)
+    wide = build_scheme_a(build_cyclic(3, 2), PrimeField(65537), seed=0)  # 4 seeds
+    with pytest.raises(TooLargeToEnumerate):  # 6 view rows cannot be keyed over F_65537
+        mi_oracle(wide, CollusionPattern([1, 2, 3], []), cap=10**60)
+    with pytest.raises(TooLargeToEnumerate):  # nor the 4 key rows of the other users
+        converse_spot_checks(wide, cap=10**20)
+    # a pattern without relays sees nothing: no symbol, full states at every width
+    for users, width in (([], 1), ([1], 1), ([1, 3], 2)):
+        res = mi_oracle(s, CollusionPattern([], users), width=width, cap=10**20)
+        assert res == verify.OracleResult(True, Fraction(0), 7 ** ((6 + 4) * width))
+    assert not s.stack_symbols
+
+
+def test_the_symbol_memo_stays_with_its_scheme():
+    five, seven = build_scheme_c(3, F5), build_scheme_c(3, F7)  # same shape, two fields
+    assert five.stack_rows.shape == seven.stack_rows.shape
+    for pat in iter_patterns(five.topology, 1, 1, all_sizes=True):
+        for s in (five, seven):
+            assert mi_oracle(s, pat) == full_grid_mi_oracle(s, pat), (s.field.q, pat)
+    assert five.stack_symbols.keys() == seven.stack_symbols.keys()
+    assert five.stack_symbols is not seven.stack_symbols
+    for s in (five, seven):
+        sweep_security(s, 1, 1, all_sizes=True)
+        assert Scheme.from_dict(s.to_dict()) == s
+
+
+@pytest.mark.parametrize("q, a, b", [
+    (65537, [[0], [5]], [[0]]),
+    (65537, [[0]], [[7], [0]]),
+    (65537, [[0]], np.zeros((0, 1), dtype=np.int64)),
+    (131, [[0, 0], [1, 2]], [[0, 0], [0, 3]]),
+])
+def test_a_zero_row_is_a_constant_past_the_int8_range(q, a, b):
+    # a zero row has no support; its symbol still needs a dtype that holds q
+    field = PrimeField(q)
+    h = cond_entropy_enumerated(FieldMatrix(field, a), FieldMatrix(field, b))
+    assert h == brute_cond_entropy(np.array(a), np.array(b), q)
+
+
+def test_a_keyless_scheme_past_the_int8_range():
+    # zero link keys and key columns over F_131: the oracle and the converse fold constants
+    s = keyless(build_scheme_a(build_cyclic(3, 1), PrimeField(131), seed=0))
+    for pat in iter_patterns(s.topology, 1, 1, all_sizes=True):
+        res = mi_oracle(s, pat, cap=10**12)
+        assert res == full_grid_mi_oracle(s, pat, cap=10**12), pat
+        assert res.is_zero == check_security_rank(s, pat), pat
+    checks = converse_spot_checks(s)
+    for (i, j), h in checks.per_link_entropy.items():
+        others = gf.vstack([s.user_key_map(k).T for k in range(1, s.topology.N + 1) if k != i])
+        assert h == cond_entropy_enumerated(s.link_keys.take_cols([s.link_index(i, j)]).T,
+                                            others) == 0
+    assert checks.user_entropy_sum == 0 and not checks.sum_meets_bound
+
+
+def test_a_sweep_and_converse_of_a_at_q5_peak_below_7_mib():
+    s = build_scheme_a(build_cyclic(3, 2), F5, seed=0)
+    tracemalloc.start()
+    try:
+        _, oracle = sweep_security(s, 1, 1, all_sizes=True)
+        checks = converse_spot_checks(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (oracle.checked, oracle.passed) == (16, 16) and checks.all_links_determined
+    assert peak < 7 * 2**20
 
 
 # -- enumeration engine vs the per-state reference ----------------------------------
