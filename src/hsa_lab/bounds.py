@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, as_int
 from .topology import Topology, collusion_threshold
 
 #: Verdict labels for the two rules that partition the parameter space:
@@ -222,7 +222,7 @@ def reference_region(kind: str, **params) -> ReferenceRegion:
     comes from server security.
     """
     if kind == "tree":
-        u, v, t = int(params["U"]), int(params["V"]), int(params["T"])
+        u, v, t = (as_int(params[key], key) for key in ("U", "V", "T"))
         if u < 2 or v < 1 or t < 0:
             raise InvalidArgument("tree region needs U >= 2, V >= 1, T >= 0")
         if t >= (u - 1) * v:
@@ -236,7 +236,7 @@ def reference_region(kind: str, **params) -> ReferenceRegion:
             {"r_zsigma": f"the min({u * v - 1}, {u + t - 1}) term assumes a colluding server"},
         )
     if kind == "cyclic_nocollusion":
-        k, n = int(params["K"]), int(params["n"])
+        k, n = as_int(params["K"], "K"), as_int(params["n"], "n")
         if not 1 <= n <= k - 1:
             raise InvalidArgument("cyclic region needs 1 <= n <= K-1")
         base = Fraction(1, n)

@@ -8,17 +8,14 @@ residues wrapped without a copy, int64 except in the round simulator: its
 narrower than their narrowest operand and holds their bound.  All operations
 are exact: products route through an overflow-safe path, and elimination
 pivots deterministically (leftmost nonzero column, first row with a nonzero
-entry at or below the row pointer).  Ranks and minor checks use fraction-free
-elimination, which needs no inverses: a row becomes pivot * row - entry *
-pivot_row, exact in int64 since q <= 2**31.  Every rank, one matrix's
-included, is taken by the batched `_lockstep_ranks`.  A reduced form, and
-with it a modular inverse per pivot, is built only by `inverse`.  Every
-reduction whose size grows with columns or minors (the constructor, sums,
-negation, products, the minor-stack and lockstep-rank updates) goes through
-`_reduce`, x - (x // q) * q, which numpy vectorizes where it does not
-vectorize `%`; `_rref` is the only single-matrix elimination loop and keeps
-`%`, since its updates touch a few hundred entries, where one `%` costs less
-than three ufunc calls.
+entry at or below the row pointer).  Every elimination is fraction-free and
+runs a stack of matrices in lockstep, one matrix as a block of one: a row
+becomes pivot * row - entry * pivot_row, exact in int64 since q <= 2**31.
+`_lockstep_ranks` takes ranks, `_inverses` inverses (with one modular inverse
+per diagonal entry, at the end) and `_all_nonsingular` `mds_check`'s minors.
+Every reduction whose size grows with columns or minors (the constructor,
+sums, negation, products, the elimination updates) goes through `_reduce`,
+x - (x // q) * q, which numpy vectorizes where it does not vectorize `%`.
 """
 
 from __future__ import annotations
@@ -195,20 +192,15 @@ class FieldMatrix:
         return int(_lockstep_ranks(self.a.astype(np.int64)[None], self.field.q)[0])
 
     def inverse(self) -> "FieldMatrix":
-        """Inverse of a square nonsingular matrix (Gauss-Jordan).
+        """Inverse of a square nonsingular matrix, a block of one of `_inverses`.
 
         Raises:
             ShapeError: if the matrix is not square.
             SingularMatrix: if no inverse exists.
         """
-        n = self.rows
-        if n != self.cols:
+        if self.rows != self.cols:
             raise ShapeError(f"cannot invert a {self.rows}x{self.cols} matrix")
-        aug = np.hstack([self.a, np.eye(n, dtype=np.int64)])
-        red, pivots = _rref(aug, self.field)
-        if pivots != list(range(n)):
-            raise SingularMatrix(f"matrix of rank {len(pivots)} < {n} has no inverse")
-        return FieldMatrix._wrap(self.field, red[:, n:])
+        return FieldMatrix._wrap(self.field, _inverses(self.a[None], self.field.q)[0])
 
 
 def _reduce(x: np.ndarray, q: int) -> np.ndarray:
@@ -288,6 +280,32 @@ def _all_nonsingular(stack: np.ndarray, q: int) -> bool:
     return True
 
 
+def _inverses(stack: np.ndarray, q: int) -> np.ndarray:
+    """Inverses over F_q of each matrix of a (B, n, n) stack, as a new int64 stack;
+    SingularMatrix if one of them has none.
+
+    Gauss-Jordan on every [A | I] in lockstep, in an int64 copy: at step k each
+    matrix pivots on its first nonzero at or below row k in column k and clears
+    that column from every other row, fraction-free.  Each left half ends
+    diagonal, d; each right half, row r divided by d[r], is then an inverse.
+    """
+    b, n, _ = stack.shape
+    m = np.dstack([stack.astype(np.int64), np.broadcast_to(np.eye(n, dtype=int), stack.shape)])
+    batch = np.arange(b)
+    for k in range(n):
+        nz = m[:, k:, k] != 0
+        if not (pivoted := nz.any(axis=1)).all():
+            raise SingularMatrix(f"matrix {int(pivoted.argmin())} of the stack is singular")
+        p = k + nz.argmax(axis=1)
+        pivot_rows = m[batch, p]
+        m[batch, p] = m[:, k]
+        m = _reduce(pivot_rows[:, k, None, None] * m - m[:, :, k, None] * pivot_rows[:, None, :], q)
+        m[:, k] = pivot_rows  # the update cleared the pivot row itself
+    # one Python pow per diagonal entry; int64 even when the diagonal is empty
+    scale = [pow(d, -1, q) for d in m.diagonal(axis1=1, axis2=2).ravel().tolist()]
+    return _reduce(m[:, :, n:] * np.array(scale, dtype=np.int64).reshape(b, n, 1), q)
+
+
 def _lockstep_ranks(stack: np.ndarray, q: int) -> np.ndarray:
     """Ranks over F_q of each matrix of a fresh (B, rows, cols) stack, which
     is eliminated in place, all matrices together.
@@ -317,31 +335,6 @@ def _lockstep_ranks(stack: np.ndarray, q: int) -> np.ndarray:
         m -= pivot_row[:, :, None] * column[:, None]
         _reduce(m, q)
     return ranks
-
-
-def _rref(a: np.ndarray, field: PrimeField) -> tuple[np.ndarray, list[int]]:
-    q = field.q
-    m = a.copy()  # the caller's array stays untouched
-    rows, cols = m.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        p = r + int(nz[0])
-        if p != r:
-            m[[r, p]] = m[[p, r]]
-        m[r] = (m[r] * field.inv(int(m[r, c]))) % q
-        others = np.nonzero(m[:, c])[0]
-        for o in others:
-            if o != r:
-                m[o] = (m[o] - m[o, c] * m[r]) % q
-        pivots.append(c)
-        r += 1
-    return m, pivots
 
 
 # -- constructors ------------------------------------------------------------

@@ -299,7 +299,10 @@ def check_weighted_conditions(s: Scheme) -> WeightedConditions:
 
 
 def _encoders_from(decode_matrix: FieldMatrix, top: Topology) -> tuple[FieldMatrix, ...]:
-    return tuple(block.inverse() for block in _column_blocks(decode_matrix, top))
+    """Per user, the inverse of its column block of the decoding matrix, all in one batch."""
+    blocks = np.stack([block.a for block in _column_blocks(decode_matrix, top)])
+    field = decode_matrix.field
+    return tuple(FieldMatrix._wrap(field, inv) for inv in gf._inverses(blocks, field.q))
 
 
 def build_scheme_a(top: Topology, field: PrimeField, seed: int = 0,
@@ -331,7 +334,7 @@ def build_scheme_a(top: Topology, field: PrimeField, seed: int = 0,
             raise InvalidArgument("supplied decoding matrix is not MDS")
 
     blocks = _column_blocks(decode_matrix, top)
-    encoders = tuple(block.inverse() for block in blocks)
+    encoders = _encoders_from(decode_matrix, top)
 
     # Seeds: one per link of users 1..N-1.  The last user's keys are the
     # unique linear functions of those seeds that cancel the masks:
@@ -393,10 +396,12 @@ def build_scheme_b(top: Topology, field: PrimeField, t_u: int, seed: int = 0,
     Raises:
         InfeasibleParameters, InvalidArgument, FieldTooSmall, NoSuchRoot:
             from scheme_b_parameters.
+        InvalidArgument: max_attempts < 1.
         FieldTooSmall: q cannot host K usable Cauchy parameters.
         ConstructionFailed: resampling budget exhausted; its rejections
             count the candidates each check rejected.
     """
+    at_least_one(max_attempts, "max_attempts")
     copies, w = scheme_b_parameters(top, field, t_u)
     n, k, big_n, q = top.n, top.K, top.N, field.q
     n_seeds = t_u + top.m

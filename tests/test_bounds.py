@@ -145,6 +145,16 @@ def test_reference_cyclic():
         reference_region("hypercube")
 
 
+def test_reference_region_reads_integers_by_the_package_rule():
+    # a fraction is refused, not truncated to the U = 2 region; 3.0 and "2" are integers
+    for kind, params in [("tree", {"U": 2.5, "V": 1, "T": 0}),
+                         ("tree", {"U": 3, "V": True, "T": 0}),
+                         ("cyclic_nocollusion", {"K": 4, "n": 1.5})]:
+        with pytest.raises(InvalidArgument):
+            reference_region(kind, **params)
+    assert reference_region("tree", U=3.0, V="2", T=1) == reference_region("tree", U=3, V=2, T=1)
+
+
 def test_rate_tuple_validation():
     with pytest.raises(InvalidArgument):
         RateTuple(F(-1), F(1), F(1), F(1))

@@ -215,21 +215,6 @@ def test_inverse_singular():
         FieldMatrix(F5, [[1, 2]]).inverse()
 
 
-@settings(max_examples=60)
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.data())
-def test_inverse_times_matrix_is_identity(q, n, data):
-    field = PrimeField(q)
-    entries = data.draw(st.lists(st.integers(0, q - 1), min_size=n * n, max_size=n * n))
-    m = FieldMatrix(field, np.array(entries).reshape(n, n))
-    try:
-        inv = m.inverse()
-    except SingularMatrix:
-        assert m.rank() < n
-        return
-    assert m @ inv == gf.identity(field, n)
-    assert inv @ m == gf.identity(field, n)
-
-
 # -- rank -------------------------------------------------------------------------
 
 
@@ -365,6 +350,53 @@ def test_all_nonsingular_matches_a_rank_per_matrix(q, n, b, kind, data):
     before = stack.copy()
     assert gf._all_nonsingular(stack, q) == expected
     assert np.array_equal(stack, before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(INVARIANT_PRIMES), st.integers(1, 4), st.data())
+def test_inverse_times_matrix_is_identity(q, n, data):
+    field = PrimeField(q)
+    m = drawn_matrix(data, field, n, n)
+    try:
+        inv = m.inverse()
+    except SingularMatrix:
+        assert m.rank() < n
+        return
+    assert m @ inv == gf.identity(field, n)
+    assert inv @ m == gf.identity(field, n)
+
+
+@pytest.mark.parametrize("q", INVARIANT_PRIMES)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 6),
+       st.sampled_from(["random", "repeated row", "zero row", "zero"]), st.data())
+def test_inverses_invert_every_matrix_or_raise(q, n, b, kind, data):
+    # as for _all_nonsingular, in any signed dtype that holds q - 1: a stack with a
+    # singular member raises, and otherwise each matrix times its inverse is I both ways
+    field = PrimeField(q)
+    stack = np.stack([drawn_matrix(data, field, n, n).a for _ in range(b)])
+    if kind == "zero":
+        stack[:] = 0
+    elif kind != "random" and n:
+        member, row = data.draw(st.integers(0, b - 1)), data.draw(st.integers(0, n - 1))
+        if kind == "zero row":
+            stack[member, row] = 0
+        elif n > 1:
+            stack[member, row] = stack[member, (row + data.draw(st.integers(1, n - 1))) % n]
+    dtypes = [t for t in gf._SIGNED if t.itemsize >= gf._narrowest(q - 1).itemsize]
+    stack = stack.astype(data.draw(st.sampled_from(dtypes)))
+    before = stack.copy()
+    if not all(brute_rank(m, q) == n for m in stack):
+        with pytest.raises(SingularMatrix):
+            gf._inverses(stack, q)
+    else:
+        inverses = gf._inverses(stack, q)
+        assert inverses.shape == stack.shape and inverses.dtype == np.int64
+        assert ((inverses >= 0) & (inverses < q)).all()
+        for m, inv in zip(stack, inverses):
+            m, inv = FieldMatrix(field, m), FieldMatrix._wrap(field, inv)
+            assert m @ inv == gf.identity(field, n) == inv @ m
+    assert np.array_equal(stack, before) and stack.dtype == before.dtype
 
 
 @pytest.mark.parametrize("q", INVARIANT_PRIMES)

@@ -164,6 +164,12 @@ def test_build_b_hypothesis_violations():
         build_scheme_b(shifted, F13, t_u=0, seed=0)
 
 
+@pytest.mark.parametrize("max_attempts", [0, -3])
+def test_build_b_needs_at_least_one_attempt(max_attempts):
+    with pytest.raises(InvalidArgument, match="max_attempts must be at least 1"):
+        build_scheme_b(build_cyclic(6, 2), F13, t_u=1, seed=0, max_attempts=max_attempts)
+
+
 def test_build_b_failure_counts_rejections_by_check():
     # at q = 101 a random completion of the block sum rarely leaves an MDS null block
     for t_u, counts in [(0, {"singular completion": 1, "null block not MDS": 39}),

@@ -801,7 +801,7 @@ def test_oracle_stays_off_the_rank_path(monkeypatch):
     def no_elimination(*args):
         raise AssertionError("the oracle reached an elimination routine or the rank peel")
 
-    for routine in ("_all_nonsingular", "_lockstep_ranks", "_rref"):
+    for routine in ("_all_nonsingular", "_lockstep_ranks", "_inverses"):
         monkeypatch.setattr(gf, routine, no_elimination)
     for routine in ("_leaks", "_peel"):
         monkeypatch.setattr(verify, routine, no_elimination)
